@@ -175,3 +175,13 @@ mod kv_calibration_tests {
         assert!((0.0..1.0).contains(&per_batch), "per_batch {per_batch}");
     }
 }
+
+/// The `p`-quantile (`0.0..=1.0`, nearest rank) of an ascending-sorted
+/// sample; the default value (zero) for an empty sample.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx]
+}

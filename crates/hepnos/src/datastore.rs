@@ -24,6 +24,10 @@ use yokan::{DbTarget, YokanClient};
 /// Number of keys fetched per `list_keys` RPC while iterating containers.
 const ITER_PAGE: usize = 1024;
 
+/// Length of a subrun key (dataset UUID, run, subrun): the placement input
+/// of the subrun's events and the prefix of every event key.
+const SUBRUN_KEY_LEN: usize = 32;
+
 /// A validated product label (must not contain `#`, the label/type
 /// separator in product keys).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -195,6 +199,43 @@ impl DataStoreInner {
     pub(crate) fn product_db_index(&self, container_key: &[u8]) -> usize {
         self.placement
             .place(container_key, self.topo.product_dbs.len())
+    }
+
+    /// Keep only the keys of a listed page of event database `db_idx` that
+    /// the database owns: those whose subrun key (their placement input)
+    /// places on it under this client's topology. Returns the paging
+    /// continuation, taken from the *unfiltered* page — `None` once a page
+    /// comes back empty, the end of the scan.
+    ///
+    /// Every dataset- or run-wide event scan goes through here. During a
+    /// live rescale a database's page merges its old owners' pages (the
+    /// dual-read fallback), which also hold other databases' events, and
+    /// old copies still on a surviving database would be listed twice. In
+    /// steady state every key passes. Pages are sorted, so placement runs
+    /// once per run of keys sharing a subrun.
+    pub(crate) fn retain_owned_events(
+        &self,
+        db_idx: usize,
+        page: &mut Vec<Vec<u8>>,
+    ) -> Option<Vec<u8>> {
+        let next = page.last()?.clone();
+        let n = self.topo.event_dbs.len();
+        let mut last: Option<([u8; SUBRUN_KEY_LEN], bool)> = None;
+        page.retain(|k| {
+            // Too short to place: keep it, so parsing reports it malformed.
+            let Some(subrun) = k.first_chunk::<SUBRUN_KEY_LEN>() else {
+                return true;
+            };
+            match last {
+                Some((s, owned)) if s == *subrun => owned,
+                _ => {
+                    let owned = self.placement.place(subrun, n) == db_idx;
+                    last = Some((*subrun, owned));
+                    owned
+                }
+            }
+        });
+        Some(next)
     }
 }
 
@@ -476,6 +517,40 @@ fn load_product<T: DeserializeOwned>(
     }
 }
 
+/// Every event under `prefix` (a dataset UUID or a run key) across all
+/// event databases, in key order: each database is paged and filtered to
+/// the events it owns (see [`DataStoreInner::retain_owned_events`]).
+fn list_events(store: &Arc<DataStoreInner>, prefix: &[u8]) -> Result<Vec<Event>, HepnosError> {
+    let mut keys: Vec<Vec<u8>> = Vec::new();
+    for (db_idx, db) in store.topo.event_dbs.iter().enumerate() {
+        let mut from = prefix.to_vec();
+        loop {
+            let mut page = store.client.list_keys(db, &from, prefix, ITER_PAGE)?;
+            let Some(next) = store.retain_owned_events(db_idx, &mut page) else {
+                break;
+            };
+            from = next;
+            keys.extend(page);
+        }
+    }
+    keys.sort();
+    keys.into_iter()
+        .map(|k| {
+            let (u, run, subrun, number) = keys::parse_event_key(&k).ok_or_else(|| {
+                HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
+            })?;
+            Ok(Event {
+                store: Arc::clone(store),
+                dataset: u,
+                run,
+                subrun,
+                number,
+                key: k,
+            })
+        })
+        .collect()
+}
+
 /// A dataset: a named container of datasets and runs.
 #[derive(Clone)]
 pub struct DataSet {
@@ -614,36 +689,7 @@ impl DataSet {
     /// [`crate::ParallelEventProcessor`]: each event database is paged with
     /// the dataset-UUID prefix and the per-database results are merged.
     pub fn events(&self) -> Result<Vec<Event>, HepnosError> {
-        let uuid = self.require_uuid()?;
-        let prefix: Vec<u8> = uuid.as_bytes().to_vec();
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        for db in &self.store.topo.event_dbs {
-            let mut from = prefix.clone();
-            loop {
-                let page = self.store.client.list_keys(db, &from, &prefix, ITER_PAGE)?;
-                if page.is_empty() {
-                    break;
-                }
-                from.clone_from(page.last().expect("page is non-empty"));
-                keys.extend(page);
-            }
-        }
-        keys.sort();
-        keys.into_iter()
-            .map(|k| {
-                let (u, run, subrun, number) = keys::parse_event_key(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                Ok(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: u,
-                    run,
-                    subrun,
-                    number,
-                    key: k,
-                })
-            })
-            .collect()
+        list_events(&self.store, self.require_uuid()?.as_bytes())
     }
 
     fn require_uuid(&self) -> Result<Uuid, HepnosError> {
@@ -814,36 +860,7 @@ impl Run {
     /// order. Subruns hash to different event databases, so each database
     /// is scanned with the run's 24-byte key prefix and the results merged.
     pub fn events(&self) -> Result<Vec<Event>, HepnosError> {
-        let prefix = self.key.clone();
-        let mut keys_found: Vec<Vec<u8>> = Vec::new();
-        for db in &self.store.topo.event_dbs {
-            let mut from = prefix.clone();
-            loop {
-                let page = self.store.client.list_keys(db, &from, &prefix, ITER_PAGE)?;
-                if page.is_empty() {
-                    break;
-                }
-                from.clone_from(page.last().expect("page is non-empty"));
-                keys_found.extend(page);
-            }
-        }
-        keys_found.sort();
-        keys_found
-            .into_iter()
-            .map(|k| {
-                let (u, run, subrun, number) = keys::parse_event_key(&k).ok_or_else(|| {
-                    HepnosError::Storage(yokan::YokanError::Protocol("malformed event key".into()))
-                })?;
-                Ok(Event {
-                    store: Arc::clone(&self.store),
-                    dataset: u,
-                    run,
-                    subrun,
-                    number,
-                    key: k,
-                })
-            })
-            .collect()
+        list_events(&self.store, &self.key)
     }
 
     /// Store a typed product on this run.

@@ -639,10 +639,11 @@ impl ReaderCtx<'_> {
         scratch: &mut ReaderScratch,
         stats: &mut ReaderStats,
     ) -> Result<(), HepnosError> {
-        let db = self.datastore.inner.topo.event_dbs[db_idx].clone();
+        let store = &self.datastore.inner;
+        let db = store.topo.event_dbs[db_idx].clone();
         let prefix: Vec<u8> = self.dataset.as_bytes().to_vec();
         let read_ahead = self.opts.read_ahead_pages.max(1);
-        let client = &self.datastore.inner.client;
+        let client = &store.client;
         let mut window: VecDeque<PageState> = VecDeque::with_capacity(read_ahead + 1);
 
         let mut pending_list: Option<(PendingListKeys, Instant)> = Some((
@@ -655,7 +656,7 @@ impl ReaderCtx<'_> {
             };
             let wait_start = Instant::now();
             let ready = pending.is_ready();
-            let page = match pending.wait() {
+            let mut page = match pending.wait() {
                 Ok(p) => p,
                 Err(e) => break Err(HepnosError::from(e)),
             };
@@ -665,12 +666,14 @@ impl ReaderCtx<'_> {
             }
             stats.rpc_time += now - issued;
             stats.pages += 1;
-            if page.is_empty() || self.abort.load(Ordering::Relaxed) {
+            let Some(from) = store.retain_owned_events(db_idx, &mut page) else {
+                break Ok(());
+            };
+            if self.abort.load(Ordering::Relaxed) {
                 break Ok(());
             }
             // Issue the next list immediately: it overlaps with this
             // page's prefetch fan-out and any page completion below.
-            let from = page.last().expect("page is non-empty").clone();
             pending_list = Some((
                 client.list_keys_async(&db, &from, &prefix, self.opts.load_batch_size),
                 Instant::now(),
@@ -723,28 +726,25 @@ impl ReaderCtx<'_> {
         scratch: &mut ReaderScratch,
         stats: &mut ReaderStats,
     ) -> Result<(), HepnosError> {
-        let db = self.datastore.inner.topo.event_dbs[db_idx].clone();
+        let store = &self.datastore.inner;
+        let db = store.topo.event_dbs[db_idx].clone();
         let prefix: Vec<u8> = self.dataset.as_bytes().to_vec();
+        let client = &store.client;
         let mut from = prefix.clone();
         loop {
             if self.abort.load(Ordering::Relaxed) {
                 return Ok(());
             }
             let t = Instant::now();
-            let page = self.datastore.inner.client.list_keys(
-                &db,
-                &from,
-                &prefix,
-                self.opts.load_batch_size,
-            )?;
+            let mut page = client.list_keys(&db, &from, &prefix, self.opts.load_batch_size)?;
             let waited = t.elapsed();
             stats.list_wait += waited;
             stats.rpc_time += waited;
             stats.pages += 1;
-            if page.is_empty() {
+            let Some(next) = store.retain_owned_events(db_idx, &mut page) else {
                 return Ok(());
-            }
-            from.clone_from(page.last().expect("page is non-empty"));
+            };
+            from = next;
             let descriptors = self.parse_page(&page)?;
             stats.events_loaded += descriptors.len() as u64;
             let mut products = scratch.take_products(descriptors.len(), self.labels.len());
@@ -753,7 +753,6 @@ impl ReaderCtx<'_> {
                 // get_multi blocks to completion before the next is even
                 // issued — reader time is the *sum* of the RPC latencies.
                 self.group_product_keys(&page, scratch);
-                let store = &self.datastore.inner;
                 for db_idx in 0..scratch.per_db.len() {
                     if scratch.per_db[db_idx].0.is_empty() {
                         continue;
@@ -761,7 +760,7 @@ impl ReaderCtx<'_> {
                     let (slots, keyvecs) = std::mem::take(&mut scratch.per_db[db_idx]);
                     let target = &store.topo.product_dbs[db_idx];
                     let t = Instant::now();
-                    let pending = store.client.get_multi_async(target, &keyvecs);
+                    let pending = client.get_multi_async(target, &keyvecs);
                     let values = pending.wait()?;
                     let waited = t.elapsed();
                     stats.prefetch_wait += waited;

@@ -67,7 +67,7 @@ impl ClientSession {
 /// for mutations) on retryable failures per `policy`. Without a policy this
 /// is a plain unbounded wait, preserving the historical behaviour.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn wait_with_retry(
+fn wait_with_retry(
     endpoint: &Arc<dyn Endpoint>,
     policy: Option<&RetryPolicy>,
     counters: &RetryCounters,
@@ -187,32 +187,65 @@ pub struct YokanClient {
     bulk_threshold: usize,
     retry: Option<RetryPolicy>,
     session: Arc<ClientSession>,
-    /// Replica-chain routes keyed by database name (chain members share
-    /// one name across servers). Shared by clones, so a failover promoted
-    /// by one thread redirects them all. Empty unless
-    /// [`YokanClient::install_replica_routes`] ran — the unreplicated path
-    /// is untouched.
-    routes: Arc<RwLock<HashMap<String, Arc<ChainState>>>>,
-    /// Dual-read fallbacks of a live migration, keyed by database name:
-    /// a read of a migrating database that *misses* on the new owner falls
-    /// back to these old-owner candidates until the migration is Done (the
-    /// old owner stays complete — handed-off keys are dual-written — so a
-    /// key acked before the rescale is always found on one side). Shared
-    /// by clones; empty in steady state.
-    dual: Arc<RwLock<HashMap<String, Vec<DbTarget>>>>,
+    /// Replica routes and dual-read candidates, shared by clones: a
+    /// failover promoted by one thread redirects them all. Empty unless
+    /// [`YokanClient::install_replica_routes`] or
+    /// [`YokanClient::install_dual_read`] ran.
+    routing: Arc<RwLock<Routing>>,
+}
+
+/// Per-database routing state, keyed by database name (chain members and
+/// the new owner of a migrating database share one name across servers).
+#[derive(Default)]
+struct Routing {
+    /// Replica chains (head first) of routed databases.
+    chains: HashMap<String, Arc<ChainState>>,
+    /// Dual-read fallbacks of a live migration: a read of a migrating
+    /// database that *misses* on the new owner falls back to these
+    /// old-owner candidates until the migration is Done (the old owner
+    /// stays complete — handed-off keys are dual-written — so a key acked
+    /// before the rescale is always found on one side).
+    dual: HashMap<String, Vec<DbTarget>>,
+}
+
+/// The replicas one request may be served by, in the order they are tried:
+/// the target itself when its database is unrouted; otherwise its chain —
+/// tail first for reads (the tail is the commit point: a value visible
+/// there has been applied chain-wide, so a read never observes a mutation
+/// the head has not acknowledged), from the acting head onward for
+/// mutations.
+struct Route {
+    target: DbTarget,
+    chain: Option<Arc<ChainState>>,
+    /// Mutation route: start at the acting head, promote on failover.
+    write: bool,
+    /// Chain index of the acting head when the route was taken.
+    head: usize,
+}
+
+impl Route {
+    /// The `k`-th member to try, with its chain index.
+    fn member(&self, k: usize) -> Option<(usize, &DbTarget)> {
+        let Some(chain) = &self.chain else {
+            return (k == 0).then_some((0, &self.target));
+        };
+        let n = chain.replicas.len();
+        if k >= n {
+            return None;
+        }
+        let idx = if self.write {
+            (self.head + k) % n
+        } else {
+            n - 1 - k
+        };
+        Some((idx, &chain.replicas[idx]))
+    }
 }
 
 impl YokanClient {
     /// Create a client with the default 8 KiB bulk threshold.
     pub fn new(endpoint: Arc<dyn Endpoint>) -> YokanClient {
-        YokanClient {
-            endpoint,
-            bulk_threshold: 8 << 10,
-            retry: None,
-            session: ClientSession::new(),
-            routes: Arc::new(RwLock::new(HashMap::new())),
-            dual: Arc::new(RwLock::new(HashMap::new())),
-        }
+        Self::with_bulk_threshold(endpoint, 8 << 10)
     }
 
     /// Override the bulk threshold (`usize::MAX` disables bulk entirely).
@@ -222,8 +255,7 @@ impl YokanClient {
             bulk_threshold: threshold,
             retry: None,
             session: ClientSession::new(),
-            routes: Arc::new(RwLock::new(HashMap::new())),
-            dual: Arc::new(RwLock::new(HashMap::new())),
+            routing: Arc::new(RwLock::new(Routing::default())),
         }
     }
 
@@ -236,12 +268,12 @@ impl YokanClient {
     /// the chain's commit point — falling back toward the head. Singleton
     /// chains are skipped: they behave exactly like direct targets.
     pub fn install_replica_routes(&self, chains: &[Vec<DbTarget>]) {
-        let mut routes = self.routes.write();
+        let mut routing = self.routing.write();
         for chain in chains {
             if chain.len() < 2 {
                 continue;
             }
-            routes.insert(
+            routing.chains.insert(
                 chain[0].db.clone(),
                 Arc::new(ChainState::new(chain.clone())),
             );
@@ -251,15 +283,11 @@ impl YokanClient {
     /// The replica chain a database name currently resolves through, if
     /// routes are installed for it (in chain order, head first).
     pub fn replica_chain(&self, db: &str) -> Option<Vec<DbTarget>> {
-        self.routes.read().get(db).map(|c| c.replicas.clone())
-    }
-
-    fn route_for(&self, db: &str) -> Option<Arc<ChainState>> {
-        let routes = self.routes.read();
-        if routes.is_empty() {
-            return None;
-        }
-        routes.get(db).cloned()
+        self.routing
+            .read()
+            .chains
+            .get(db)
+            .map(|c| c.replicas.clone())
     }
 
     /// Stamp subsequent mutations with topology `epoch`. Services reject a
@@ -384,27 +412,22 @@ impl YokanClient {
     /// Install dual-read fallbacks for a migrating database: a read of
     /// `db` that misses on its (new) owner falls back to `candidates` —
     /// the old-owner targets — until [`YokanClient::clear_dual_read`].
-    /// Listings merge both sides (deduplicated per call, newest owner
-    /// winning on key collisions). Shared across clones of this client.
+    /// Point reads fill each missing slot from the candidates in order;
+    /// listings merge both sides (deduplicated, sorted, the new owner
+    /// winning on key collisions). Every read op issued afterwards — sync
+    /// or async — takes the fallback. Shared across clones of this client.
     pub fn install_dual_read(&self, db: &str, candidates: Vec<DbTarget>) {
+        let mut routing = self.routing.write();
         if candidates.is_empty() {
-            self.dual.write().remove(db);
+            routing.dual.remove(db);
         } else {
-            self.dual.write().insert(db.to_string(), candidates);
+            routing.dual.insert(db.to_string(), candidates);
         }
     }
 
     /// Remove every dual-read fallback (the migration is Done everywhere).
     pub fn clear_dual_read(&self) {
-        self.dual.write().clear();
-    }
-
-    fn dual_candidates(&self, db: &str) -> Option<Vec<DbTarget>> {
-        let dual = self.dual.read();
-        if dual.is_empty() {
-            return None;
-        }
-        dual.get(db).cloned()
+        self.routing.write().dual.clear();
     }
 
     /// Enable transparent retries under `policy`. Each RPC attempt runs
@@ -446,7 +469,8 @@ impl YokanClient {
         buf
     }
 
-    /// Issue one RPC, riding the retry policy when one is configured.
+    /// Issue one RPC to a physical address (control-plane ops that bypass
+    /// routes), riding the retry policy when one is configured.
     fn invoke(
         &self,
         addr: &str,
@@ -470,88 +494,173 @@ impl YokanClient {
         .map_err(YokanError::from)
     }
 
-    fn call(&self, target: &DbTarget, op: u16, payload: Bytes) -> Result<Bytes, YokanError> {
-        match self.route_for(&target.db) {
-            None => self.invoke(&target.addr, op, target.provider_id, payload),
-            Some(chain) => self.call_read_chain(&chain, op, payload),
+    /// The route a request for `target` takes (see [`Route`]).
+    fn route(&self, routing: &Routing, target: &DbTarget, write: bool) -> Route {
+        let chain = routing.chains.get(&target.db).cloned();
+        let head = chain.as_ref().map_or(0, |c| c.cursor());
+        Route {
+            target: target.clone(),
+            chain,
+            write,
+            head,
         }
     }
 
-    /// A read against a replica chain: tail-first (the tail is the commit
-    /// point — a value visible there has been applied chain-wide, so a
-    /// read can never observe a mutation the head has not acknowledged),
-    /// falling back toward the head when a replica is unreachable.
-    fn call_read_chain(
+    /// Send `payload` to the `k`-th member of `route`.
+    fn issue(&self, route: &Route, k: usize, op: u16, payload: &Bytes) -> PendingResponse {
+        let (_, t) = route.member(k).expect("the member is on the route");
+        self.endpoint
+            .call_async(&t.addr, RpcId(op), t.provider_id, payload.clone())
+    }
+
+    /// Wait for a request issued to the first member of `route`,
+    /// re-issuing the identical payload to the next member on dead-node
+    /// errors — the one failover walk of every read and mutation. A read
+    /// answered past the first member counts a `read_fallback`; a mutation
+    /// accepted past the acting head promotes that member and counts a
+    /// `failover`.
+    fn walk(
         &self,
-        chain: &ChainState,
+        route: &Route,
         op: u16,
-        payload: Bytes,
+        payload: &Bytes,
+        mut pending: PendingResponse,
     ) -> Result<Bytes, YokanError> {
-        let n = chain.replicas.len();
-        let mut last: Option<RpcError> = None;
-        for k in 0..n {
-            let t = &chain.replicas[n - 1 - k];
-            match self.invoke(&t.addr, op, t.provider_id, payload.clone()) {
+        let mut k = 0;
+        loop {
+            let (idx, t) = route.member(k).expect("the walk stays on its route");
+            let result = wait_with_retry(
+                &self.endpoint,
+                self.retry.as_ref(),
+                &self.session.counters,
+                &t.addr,
+                RpcId(op),
+                t.provider_id,
+                payload,
+                pending,
+            );
+            match result {
                 Ok(resp) => {
                     if k > 0 {
-                        self.session
-                            .counters
-                            .read_fallbacks
-                            .fetch_add(1, Ordering::Relaxed);
+                        let counters = &self.session.counters;
+                        match &route.chain {
+                            Some(chain) if route.write => {
+                                chain.promote(idx);
+                                counters.failovers.fetch_add(1, Ordering::Relaxed);
+                            }
+                            _ => {
+                                counters.read_fallbacks.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
                     }
                     return Ok(resp);
                 }
-                Err(YokanError::Rpc(e)) if replica::is_dead_node(&e) => last = Some(e),
-                Err(e) => return Err(e),
+                Err(e) if replica::is_dead_node(&e) && route.member(k + 1).is_some() => {
+                    k += 1;
+                    pending = self.issue(route, k, op, payload);
+                }
+                Err(e) => return Err(e.into()),
             }
         }
-        Err(YokanError::Rpc(last.expect("chain is non-empty")))
     }
 
-    /// A mutation call: like [`YokanClient::call`] but the response carries
-    /// a one-byte replay marker that is stripped (and counted) here. On a
-    /// replica chain the mutation goes to the acting head; if that node is
-    /// dead, the identical payload is re-issued to the next members in
-    /// chain order and the first that accepts is promoted.
+    /// A mutation: issued to the acting head and walked toward the tail on
+    /// dead-node errors. The response's one-byte replay marker is stripped
+    /// (and counted) here.
     fn call_mutation(
         &self,
         target: &DbTarget,
         op: u16,
         payload: Bytes,
     ) -> Result<Bytes, YokanError> {
-        let resp = match self.route_for(&target.db) {
-            None => self.invoke(&target.addr, op, target.provider_id, payload)?,
-            Some(chain) => {
-                let n = chain.replicas.len();
-                let start = chain.cursor();
-                let mut out: Option<Bytes> = None;
-                let mut last: Option<RpcError> = None;
-                for k in 0..n {
-                    let idx = (start + k) % n;
-                    let t = &chain.replicas[idx];
-                    match self.invoke(&t.addr, op, t.provider_id, payload.clone()) {
-                        Ok(resp) => {
-                            if idx != start {
-                                chain.promote(idx);
-                                self.session
-                                    .counters
-                                    .failovers
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            out = Some(resp);
-                            break;
-                        }
-                        Err(YokanError::Rpc(e)) if replica::is_dead_node(&e) => last = Some(e),
-                        Err(e) => return Err(e),
-                    }
-                }
-                match out {
-                    Some(resp) => resp,
-                    None => return Err(YokanError::Rpc(last.expect("chain is non-empty"))),
-                }
-            }
-        };
+        let route = self.route(&self.routing.read(), target, true);
+        let pending = self.issue(&route, 0, op, &payload);
+        let resp = self.walk(&route, op, &payload, pending)?;
         strip_replay_marker(resp, &self.session.counters)
+    }
+
+    /// Issue a read of `target`: the database header followed by `body`.
+    /// Every read op goes through here. The read plan is fixed at issue
+    /// time — the replica order and, with `dual`, a snapshot of the
+    /// database's dual-read candidates — and the returned handle's `wait`
+    /// walks the replicas and resolves misses against the candidates.
+    fn read(
+        &self,
+        target: &DbTarget,
+        op: u16,
+        body_len: usize,
+        body: impl FnOnce(&mut BytesMut),
+        dual: bool,
+    ) -> PendingRead {
+        let (route, candidates) = {
+            let routing = self.routing.read();
+            let candidates = if dual {
+                routing.dual.get(&target.db).cloned().unwrap_or_default()
+            } else {
+                Vec::new()
+            };
+            (self.route(&routing, target, false), candidates)
+        };
+        let mut buf = Self::header(target, body_len);
+        body(&mut buf);
+        let payload = buf.freeze();
+        let pending = self.issue(&route, 0, op, &payload);
+        PendingRead {
+            client: self.clone(),
+            op,
+            route,
+            payload,
+            pending,
+            candidates,
+        }
+    }
+
+    /// Issue a read whose body is one key.
+    fn read_key(&self, target: &DbTarget, op: u16, key: &[u8]) -> PendingRead {
+        self.read(target, op, 4 + key.len(), |b| put_bytes(b, key), true)
+    }
+
+    /// Issue a read whose body is a key block.
+    fn read_keys(&self, target: &DbTarget, op: u16, keys: &[Vec<u8>], dual: bool) -> PendingRead {
+        let len = keys_encoded_len(keys);
+        self.read(target, op, len, |b| encode_keys_into(b, keys), dual)
+    }
+
+    /// Issue a listing: keys strictly greater than `from` matching
+    /// `prefix`, up to `limit`.
+    fn read_range(
+        &self,
+        target: &DbTarget,
+        op: u16,
+        from: &[u8],
+        prefix: &[u8],
+        limit: usize,
+    ) -> PendingRead {
+        let len = 12 + from.len() + prefix.len();
+        let body = |b: &mut BytesMut| {
+            put_bytes(b, from);
+            put_bytes(b, prefix);
+            b.put_u32_le(limit as u32);
+        };
+        self.read(target, op, len, body, true)
+    }
+
+    /// Read `body` from dual-read candidate `c`, walking its replicas (a
+    /// candidate never falls back further).
+    fn read_candidate(&self, c: &DbTarget, op: u16, body: &[u8]) -> Result<Bytes, YokanError> {
+        let route = self.route(&self.routing.read(), c, false);
+        let mut buf = Self::header(c, body.len());
+        buf.put_slice(body);
+        let payload = buf.freeze();
+        let pending = self.issue(&route, 0, op, &payload);
+        self.walk(&route, op, &payload, pending)
+    }
+
+    fn count_dual_read(&self) {
+        self.session
+            .counters
+            .dual_reads
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Store one pair.
@@ -644,32 +753,14 @@ impl YokanClient {
                 scratch.split_to(header_len + block_len).freeze()
             }
         };
-        // On a replica chain the batch goes to the acting head; the chain
-        // handle rides along so `wait` can fail the identical payload over.
-        let (chain, first) = match self.route_for(&target.db) {
-            Some(c) => {
-                let start = c.cursor();
-                let t = c.replicas[start].clone();
-                (Some((c, start)), t)
-            }
-            None => (None, target.clone()),
-        };
-        let pending = self.endpoint.call_async(
-            &first.addr,
-            RpcId(OP_PUT_MULTI),
-            first.provider_id,
-            payload.clone(),
-        );
+        let route = self.route(&self.routing.read(), target, true);
+        let pending = self.issue(&route, 0, OP_PUT_MULTI, &payload);
         Ok(PendingPut {
+            client: self.clone(),
+            route,
+            payload,
             pending,
             bulk,
-            endpoint: Arc::clone(&self.endpoint),
-            addr: first.addr,
-            provider_id: first.provider_id,
-            payload,
-            retry: self.retry.clone(),
-            session: Arc::clone(&self.session),
-            chain,
         })
     }
 
@@ -677,120 +768,21 @@ impl YokanClient {
     /// old-owner candidates (see [`YokanClient::install_dual_read`]) — a
     /// key acked before the rescale is found on one side or the other.
     pub fn get(&self, target: &DbTarget, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
-        if let Some(v) = self.get_raw(target, key)? {
-            return Ok(Some(v));
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                if let Some(v) = self.get_raw(c, key)? {
-                    self.session
-                        .counters
-                        .dual_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some(v));
-                }
-            }
-        }
-        Ok(None)
+        let mut vals = self.read_key(target, OP_GET, key).wait_slots(
+            1,
+            |mut r| decode_optionals(&mut r),
+            Option::is_none,
+        )?;
+        Ok(vals.pop().flatten())
     }
 
-    /// [`YokanClient::get`] without the dual-read fallback.
-    fn get_raw(&self, target: &DbTarget, key: &[u8]) -> Result<Option<Vec<u8>>, YokanError> {
-        let mut buf = Self::header(target, 4 + key.len());
-        put_bytes(&mut buf, key);
-        let mut resp = self.call(target, OP_GET, buf.freeze())?;
-        let mut vals = decode_optionals(&mut resp)?;
-        vals.pop()
-            .ok_or_else(|| YokanError::Protocol("empty get response".into()))
-    }
-
-    /// Fetch a batch of values; one slot per requested key. Missing slots
-    /// fall back to the dual-read candidates during a live migration.
+    /// Fetch a batch of values; one slot per requested key.
     pub fn get_multi(
         &self,
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let mut vals = self.get_multi_raw(target, keys)?;
-        if vals.iter().all(|v| v.is_some()) {
-            return Ok(vals);
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                let missing: Vec<usize> = vals
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.is_none().then_some(i))
-                    .collect();
-                if missing.is_empty() {
-                    break;
-                }
-                let miss_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-                let filled = self.get_multi_raw(c, &miss_keys)?;
-                for (&i, v) in missing.iter().zip(filled) {
-                    if v.is_some() {
-                        vals[i] = v;
-                        self.session
-                            .counters
-                            .dual_reads
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        Ok(vals)
-    }
-
-    /// [`YokanClient::get_multi`] without the dual-read fallback.
-    fn get_multi_raw(
-        &self,
-        target: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let keys_block = encode_keys(keys);
-        let mut buf = Self::header(target, keys_block.len());
-        buf.put_slice(&keys_block);
-        let mut resp = self.call(target, OP_GET_MULTI, buf.freeze())?;
-        decode_optionals(&mut resp)
-    }
-
-    /// Encode and issue a read RPC whose payload is the database header
-    /// followed by a key block, returning the in-flight handle. Shared by
-    /// the asynchronous read path ([`YokanClient::get_multi_async`],
-    /// [`YokanClient::exists_multi_async`]).
-    fn read_call_async(&self, target: &DbTarget, op: u16, keys: &[Vec<u8>]) -> PendingRead {
-        let mut buf = Self::header(target, keys_encoded_len(keys));
-        encode_keys_into(&mut buf, keys);
-        self.issue_read(target, op, buf.freeze())
-    }
-
-    fn issue_read(&self, target: &DbTarget, op: u16, payload: Bytes) -> PendingRead {
-        // Routed databases are read tail-first (see `call_read_chain`);
-        // the remaining replicas, toward the head, become fallbacks.
-        let (first, fallbacks) = match self.route_for(&target.db) {
-            Some(chain) => {
-                let n = chain.replicas.len();
-                let first = chain.replicas[n - 1].clone();
-                let fallbacks: Vec<DbTarget> =
-                    (1..n).map(|k| chain.replicas[n - 1 - k].clone()).collect();
-                (first, fallbacks)
-            }
-            None => (target.clone(), Vec::new()),
-        };
-        let pending =
-            self.endpoint
-                .call_async(&first.addr, RpcId(op), first.provider_id, payload.clone());
-        PendingRead {
-            pending,
-            endpoint: Arc::clone(&self.endpoint),
-            addr: first.addr,
-            provider_id: first.provider_id,
-            op,
-            payload,
-            retry: self.retry.clone(),
-            session: Arc::clone(&self.session),
-            fallbacks,
-        }
+        self.get_multi_async(target, keys).wait_owned()
     }
 
     /// Asynchronous [`YokanClient::get_multi`]: the RPC is issued
@@ -800,72 +792,35 @@ impl YokanClient {
     /// [`YokanClient::put_multi_async`].
     pub fn get_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingGetMulti {
         PendingGetMulti {
-            inner: self.read_call_async(target, OP_GET_MULTI, keys),
-        }
-    }
-
-    /// Asynchronous [`YokanClient::exists_multi`].
-    pub fn exists_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingExistsMulti {
-        PendingExistsMulti {
-            inner: self.read_call_async(target, OP_EXISTS_MULTI, keys),
+            inner: self.read_keys(target, OP_GET_MULTI, keys, true),
             n_keys: keys.len(),
         }
     }
 
-    /// Asynchronous [`YokanClient::list_keys`]: page the next batch of keys
-    /// while the previous page is still being processed.
-    pub fn list_keys_async(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> PendingListKeys {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
-        PendingListKeys {
-            inner: self.issue_read(target, OP_LIST_KEYS, buf.freeze()),
-        }
+    /// Whether a key exists.
+    pub fn exists(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
+        let found = self
+            .read_key(target, OP_EXISTS, key)
+            .wait_slots(1, decode_flags, |f| !f)?;
+        Ok(found[0])
     }
 
     /// Existence checks for a batch of keys in one round-trip; the server
-    /// fans large batches out across the provider's pool. Absent keys fall
-    /// back to the dual-read candidates during a live migration.
+    /// fans large batches out across the provider's pool.
     pub fn exists_multi(
         &self,
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<bool>, YokanError> {
-        let mut flags = self.exists_multi_raw(target, keys)?;
-        if flags.iter().all(|&f| f) {
-            return Ok(flags);
+        self.exists_multi_async(target, keys).wait()
+    }
+
+    /// Asynchronous [`YokanClient::exists_multi`].
+    pub fn exists_multi_async(&self, target: &DbTarget, keys: &[Vec<u8>]) -> PendingExistsMulti {
+        PendingExistsMulti {
+            inner: self.read_keys(target, OP_EXISTS_MULTI, keys, true),
+            n_keys: keys.len(),
         }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                let missing: Vec<usize> = flags
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &f)| (!f).then_some(i))
-                    .collect();
-                if missing.is_empty() {
-                    break;
-                }
-                let miss_keys: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-                let found = self.exists_multi_raw(c, &miss_keys)?;
-                for (&i, f) in missing.iter().zip(found) {
-                    if f {
-                        flags[i] = true;
-                        self.session
-                            .counters
-                            .dual_reads
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        Ok(flags)
     }
 
     /// [`YokanClient::exists_multi`] without the dual-read fallback: the
@@ -879,33 +834,15 @@ impl YokanClient {
         target: &DbTarget,
         keys: &[Vec<u8>],
     ) -> Result<Vec<bool>, YokanError> {
-        self.exists_multi_raw(target, keys)
-    }
-
-    /// [`YokanClient::exists_multi`] without the dual-read fallback.
-    fn exists_multi_raw(
-        &self,
-        target: &DbTarget,
-        keys: &[Vec<u8>],
-    ) -> Result<Vec<bool>, YokanError> {
-        let keys_block = encode_keys(keys);
-        let mut buf = Self::header(target, keys_block.len());
-        buf.put_slice(&keys_block);
-        let resp = self.call(target, OP_EXISTS_MULTI, buf.freeze())?;
-        if resp.len() != keys.len() {
-            return Err(YokanError::Protocol(format!(
-                "exists_multi: expected {} flags, got {}",
-                keys.len(),
-                resp.len()
-            )));
-        }
-        Ok(resp.iter().map(|&b| b == 1).collect())
+        self.read_keys(target, OP_EXISTS_MULTI, keys, false)
+            .wait_slots(keys.len(), decode_flags, |f| !f)
     }
 
     /// Run a serialized predicate [`crate::filter::Program`] server-side
     /// against the columnar page blobs stored under `keys`, in one
     /// round-trip. Only surviving row ids (plus a few counters) come back —
-    /// the page bytes themselves never cross the wire. One reply per key.
+    /// the page bytes themselves never cross the wire. One reply per key;
+    /// `Missing` replies fall back to the dual-read candidates.
     pub fn filter(
         &self,
         target: &DbTarget,
@@ -916,71 +853,16 @@ impl YokanClient {
         // Keys of one batch share container prefix and label/type suffix;
         // factor them out so the request scales with the per-key residue.
         let keys_block = encode_keys_factored(keys);
-        let mut buf = Self::header(target, 4 + prog_bytes.len() + keys_block.len());
-        put_bytes(&mut buf, &prog_bytes);
-        buf.put_slice(&keys_block);
-        let mut resp = self.call(target, OP_FILTER, buf.freeze())?;
-        let n = get_u32(&mut resp)? as usize;
-        if n != keys.len() {
-            return Err(YokanError::Protocol(format!(
-                "filter: expected {} replies, got {n}",
-                keys.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(match get_u8(&mut resp)? {
-                FILTER_MISSING => FilterReply::Missing,
-                FILTER_NOT_COLUMNAR => FilterReply::NotColumnar,
-                FILTER_IDS => {
-                    let rows_in = get_u32(&mut resp)?;
-                    let pages_scanned = get_u32(&mut resp)?;
-                    let pages_skipped = get_u32(&mut resp)?;
-                    let stored_bytes = get_u32(&mut resp)?;
-                    let n_ids = get_u32(&mut resp)? as usize;
-                    let mut ids = Vec::with_capacity(n_ids);
-                    for _ in 0..n_ids {
-                        ids.push(get_u64(&mut resp)?);
-                    }
-                    FilterReply::Ids {
-                        ids,
-                        rows_in,
-                        pages_scanned,
-                        pages_skipped,
-                        stored_bytes,
-                    }
-                }
-                t => return Err(YokanError::Protocol(format!("bad filter reply tag {t}"))),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Whether a key exists (with dual-read fallback during a migration).
-    pub fn exists(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
-        if self.exists_raw(target, key)? {
-            return Ok(true);
-        }
-        if let Some(cands) = self.dual_candidates(&target.db) {
-            for c in &cands {
-                if self.exists_raw(c, key)? {
-                    self.session
-                        .counters
-                        .dual_reads
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// [`YokanClient::exists`] without the dual-read fallback.
-    fn exists_raw(&self, target: &DbTarget, key: &[u8]) -> Result<bool, YokanError> {
-        let mut buf = Self::header(target, 4 + key.len());
-        put_bytes(&mut buf, key);
-        let resp = self.call(target, OP_EXISTS, buf.freeze())?;
-        Ok(resp.first().copied() == Some(1))
+        let body = |b: &mut BytesMut| {
+            put_bytes(b, &prog_bytes);
+            b.put_slice(&keys_block);
+        };
+        let len = 4 + prog_bytes.len() + keys_block.len();
+        self.read(target, OP_FILTER, len, body, true).wait_slots(
+            keys.len(),
+            decode_filter_replies,
+            |r| *r == FilterReply::Missing,
+        )
     }
 
     /// Delete a key.
@@ -1029,42 +911,22 @@ impl YokanClient {
         prefix: &[u8],
         limit: usize,
     ) -> Result<Vec<Vec<u8>>, YokanError> {
-        let keys = self.list_keys_raw(target, from, prefix, limit)?;
-        let Some(cands) = self.dual_candidates(&target.db) else {
-            return Ok(keys);
-        };
-        let mut merged: std::collections::BTreeSet<Vec<u8>> = keys.iter().cloned().collect();
-        let n_new = merged.len();
-        for c in &cands {
-            merged.extend(self.list_keys_raw(c, from, prefix, limit)?);
-        }
-        if merged.len() > n_new {
-            self.session
-                .counters
-                .dual_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let mut out: Vec<Vec<u8>> = merged.into_iter().collect();
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
+        self.list_keys_async(target, from, prefix, limit).wait()
     }
 
-    /// [`YokanClient::list_keys`] without the dual-read merge.
-    fn list_keys_raw(
+    /// Asynchronous [`YokanClient::list_keys`]: page the next batch of keys
+    /// while the previous page is still being processed.
+    pub fn list_keys_async(
         &self,
         target: &DbTarget,
         from: &[u8],
         prefix: &[u8],
         limit: usize,
-    ) -> Result<Vec<Vec<u8>>, YokanError> {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
-        let mut resp = self.call(target, OP_LIST_KEYS, buf.freeze())?;
-        decode_keys(&mut resp)
+    ) -> PendingListKeys {
+        PendingListKeys {
+            inner: self.read_range(target, OP_LIST_KEYS, from, prefix, limit),
+            limit,
+        }
     }
 
     /// Like [`YokanClient::list_keys`] with values (dual-read pages merge
@@ -1076,62 +938,17 @@ impl YokanClient {
         prefix: &[u8],
         limit: usize,
     ) -> Result<Vec<KeyValue>, YokanError> {
-        let kvs = self.list_keyvals_raw(target, from, prefix, limit)?;
-        let Some(cands) = self.dual_candidates(&target.db) else {
-            return Ok(kvs);
-        };
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        for c in &cands {
-            for (k, v) in self.list_keyvals_raw(c, from, prefix, limit)? {
-                merged.insert(k, v);
-            }
-        }
-        let n_old_only = {
-            let new_keys: std::collections::BTreeSet<&[u8]> =
-                kvs.iter().map(|(k, _)| k.as_slice()).collect();
-            merged
-                .keys()
-                .filter(|k| !new_keys.contains(k.as_slice()))
-                .count()
-        };
-        if n_old_only > 0 {
-            self.session
-                .counters
-                .dual_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        for (k, v) in kvs {
-            merged.insert(k, v);
-        }
-        let mut out: Vec<KeyValue> = merged.into_iter().collect();
-        if limit > 0 {
-            out.truncate(limit);
-        }
-        Ok(out)
+        self.read_range(target, OP_LIST_KEYVALS, from, prefix, limit)
+            .wait_page(limit, |mut r| decode_pairs(&mut r), |kv| &kv.0)
     }
 
-    /// [`YokanClient::list_keyvals`] without the dual-read merge.
-    fn list_keyvals_raw(
-        &self,
-        target: &DbTarget,
-        from: &[u8],
-        prefix: &[u8],
-        limit: usize,
-    ) -> Result<Vec<KeyValue>, YokanError> {
-        let mut buf = Self::header(target, 12 + from.len() + prefix.len());
-        put_bytes(&mut buf, from);
-        put_bytes(&mut buf, prefix);
-        buf.put_u32_le(limit as u32);
-        let mut resp = self.call(target, OP_LIST_KEYVALS, buf.freeze())?;
-        decode_pairs(&mut resp)
-    }
-
-    /// Number of pairs in the database.
+    /// Number of pairs in the database (the addressed owner only — no
+    /// dual-read fallback).
     pub fn count(&self, target: &DbTarget) -> Result<u64, YokanError> {
-        let buf = Self::header(target, 0);
-        let mut resp = self.call(target, OP_COUNT, buf.freeze())?;
-        get_u64(&mut resp)
+        let n =
+            self.read(target, OP_COUNT, 0, |_| {}, false)
+                .wait_slots(1, decode_count, |_| false)?;
+        Ok(n[0])
     }
 
     /// Database names served by a provider.
@@ -1146,65 +963,148 @@ impl YokanClient {
     }
 }
 
-/// An in-flight asynchronous read RPC: the pending response plus
-/// everything needed to re-issue the identical payload under the client's
-/// retry policy. Reads carry no mutation stamp and no replay marker, so
-/// retrying them is always safe.
+fn decode_count(mut resp: Bytes) -> Result<Vec<u64>, YokanError> {
+    Ok(vec![get_u64(&mut resp)?])
+}
+
+fn decode_flags(resp: Bytes) -> Result<Vec<bool>, YokanError> {
+    Ok(resp.iter().map(|&b| b == 1).collect())
+}
+
+fn decode_filter_replies(mut resp: Bytes) -> Result<Vec<FilterReply>, YokanError> {
+    let n = get_u32(&mut resp)? as usize;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(match get_u8(&mut resp)? {
+            FILTER_MISSING => FilterReply::Missing,
+            FILTER_NOT_COLUMNAR => FilterReply::NotColumnar,
+            FILTER_IDS => {
+                let rows_in = get_u32(&mut resp)?;
+                let pages_scanned = get_u32(&mut resp)?;
+                let pages_skipped = get_u32(&mut resp)?;
+                let stored_bytes = get_u32(&mut resp)?;
+                let n_ids = get_u32(&mut resp)? as usize;
+                let mut ids = Vec::with_capacity(n_ids);
+                for _ in 0..n_ids {
+                    ids.push(get_u64(&mut resp)?);
+                }
+                FilterReply::Ids {
+                    ids,
+                    rows_in,
+                    pages_scanned,
+                    pages_skipped,
+                    stored_bytes,
+                }
+            }
+            t => return Err(YokanError::Protocol(format!("bad filter reply tag {t}"))),
+        });
+    }
+    Ok(out)
+}
+
+/// The body of a per-slot read narrowed to the slots in `miss`, so a
+/// candidate is asked only for what is still missing. Single-key reads
+/// never narrow (their one slot is the miss).
+fn narrow(op: u16, body: Bytes, miss: &[usize], n: usize) -> Result<Bytes, YokanError> {
+    if miss.len() == n {
+        return Ok(body);
+    }
+    let pick = |mut keys: Vec<Vec<u8>>| -> Vec<Vec<u8>> {
+        miss.iter().map(|&i| std::mem::take(&mut keys[i])).collect()
+    };
+    let mut rest = body;
+    if op != OP_FILTER {
+        return Ok(encode_keys(&pick(decode_keys(&mut rest)?)));
+    }
+    let prog = get_bytes(&mut rest)?;
+    let keys = encode_keys_factored(&pick(decode_keys_factored(&mut rest)?));
+    let mut buf = BytesMut::with_capacity(4 + prog.len() + keys.len());
+    put_bytes(&mut buf, &prog);
+    buf.put_slice(&keys);
+    Ok(buf.freeze())
+}
+
+/// An in-flight read and its plan (see [`YokanClient::read`]). Reads carry
+/// no mutation stamp and no replay marker, so re-issuing them — to another
+/// replica or to a dual-read candidate — is always safe.
 struct PendingRead {
-    pending: PendingResponse,
-    endpoint: Arc<dyn Endpoint>,
-    addr: String,
-    provider_id: u16,
+    client: YokanClient,
     op: u16,
+    route: Route,
     payload: Bytes,
-    retry: Option<RetryPolicy>,
-    session: Arc<ClientSession>,
-    /// Remaining replicas (tail toward head) to try when the issued
-    /// target turns out to be dead. Empty for unrouted databases.
-    fallbacks: Vec<DbTarget>,
+    pending: PendingResponse,
+    /// Dual-read candidates snapshotted at issue time; empty in steady
+    /// state.
+    candidates: Vec<DbTarget>,
 }
 
 impl PendingRead {
-    fn wait_raw(self) -> Result<Bytes, YokanError> {
-        let mut result = wait_with_retry(
-            &self.endpoint,
-            self.retry.as_ref(),
-            &self.session.counters,
-            &self.addr,
-            RpcId(self.op),
-            self.provider_id,
-            &self.payload,
-            self.pending,
-        );
-        for t in &self.fallbacks {
-            let dead = matches!(&result, Err(e) if replica::is_dead_node(e));
-            if !dead {
+    /// Per-slot merge (`get`, `get_multi`, `exists`, `exists_multi`,
+    /// `filter`): `n` slots decoded from the reply; each slot still
+    /// `missing` is filled from the candidates in order, each candidate
+    /// asked only for the slots still missing.
+    fn wait_slots<T>(
+        self,
+        n: usize,
+        decode: impl Fn(Bytes) -> Result<Vec<T>, YokanError>,
+        missing: impl Fn(&T) -> bool,
+    ) -> Result<Vec<T>, YokanError> {
+        let client = &self.client;
+        let resp = client.walk(&self.route, self.op, &self.payload, self.pending)?;
+        let mut slots = expect_slots(decode(resp)?, n)?;
+        for c in &self.candidates {
+            let miss: Vec<usize> = (0..n).filter(|&i| missing(&slots[i])).collect();
+            if miss.is_empty() {
                 break;
             }
-            let pending = self.endpoint.call_async(
-                &t.addr,
-                RpcId(self.op),
-                t.provider_id,
-                self.payload.clone(),
-            );
-            result = wait_with_retry(
-                &self.endpoint,
-                self.retry.as_ref(),
-                &self.session.counters,
-                &t.addr,
-                RpcId(self.op),
-                t.provider_id,
-                &self.payload,
-                pending,
-            );
-            if result.is_ok() {
-                self.session
-                    .counters
-                    .read_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
+            let body = self.payload.slice(4 + self.route.target.db.len()..);
+            let body = narrow(self.op, body, &miss, n)?;
+            let reply = client.read_candidate(c, self.op, &body)?;
+            let filled = expect_slots(decode(reply)?, miss.len())?;
+            for (i, v) in miss.into_iter().zip(filled) {
+                if !missing(&v) {
+                    slots[i] = v;
+                    client.count_dual_read();
+                }
             }
         }
-        result.map_err(YokanError::from)
+        Ok(slots)
+    }
+
+    /// Sorted page merge (`list_keys`, `list_keyvals`): the reply's page
+    /// and every candidate's page for the same range are merged in key
+    /// order, the new owner winning on collisions, and truncated to
+    /// `limit` (`0` = unlimited). Each source returns its first `limit`
+    /// keys past the bound, so the merged first `limit` are exact.
+    fn wait_page<T>(
+        self,
+        limit: usize,
+        decode: impl Fn(Bytes) -> Result<Vec<T>, YokanError>,
+        key: impl Fn(&T) -> &[u8],
+    ) -> Result<Vec<T>, YokanError> {
+        let client = &self.client;
+        let resp = client.walk(&self.route, self.op, &self.payload, self.pending)?;
+        let page = decode(resp)?;
+        if self.candidates.is_empty() {
+            return Ok(page);
+        }
+        let body = self.payload.slice(4 + self.route.target.db.len()..);
+        // (source rank, entry): rank 0 is the new owner.
+        let mut all: Vec<(usize, T)> = page.into_iter().map(|t| (0, t)).collect();
+        for (rank, c) in self.candidates.iter().enumerate() {
+            let page = decode(client.read_candidate(c, self.op, &body)?)?;
+            all.extend(page.into_iter().map(|t| (rank + 1, t)));
+        }
+        // Stable: on equal keys the lower rank stays first and survives.
+        all.sort_by(|a, b| key(&a.1).cmp(key(&b.1)));
+        all.dedup_by(|later, kept| key(&later.1) == key(&kept.1));
+        if limit > 0 {
+            all.truncate(limit);
+        }
+        if all.iter().any(|(rank, _)| *rank > 0) {
+            client.count_dual_read();
+        }
+        Ok(all.into_iter().map(|(_, t)| t).collect())
     }
 
     fn is_ready(&self) -> bool {
@@ -1212,23 +1112,41 @@ impl PendingRead {
     }
 }
 
+/// Check a per-slot reply carries exactly one slot per requested key.
+fn expect_slots<T>(slots: Vec<T>, n: usize) -> Result<Vec<T>, YokanError> {
+    if slots.len() != n {
+        return Err(YokanError::Protocol(format!(
+            "expected {n} reply slots, got {}",
+            slots.len()
+        )));
+    }
+    Ok(slots)
+}
+
 /// In-flight asynchronous `get_multi` (see [`YokanClient::get_multi_async`]).
 pub struct PendingGetMulti {
     inner: PendingRead,
+    n_keys: usize,
 }
 
 impl PendingGetMulti {
     /// Wait for the values: one slot per requested key, in request order.
     /// Present values are zero-copy `Bytes` slices of the response buffer.
     pub fn wait(self) -> Result<Vec<Option<Bytes>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_optionals_shared(&mut resp)
+        self.inner.wait_slots(
+            self.n_keys,
+            |mut r| decode_optionals_shared(&mut r),
+            Option::is_none,
+        )
     }
 
     /// Wait for the values as owned vectors (the historical representation).
     pub fn wait_owned(self) -> Result<Vec<Option<Vec<u8>>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_optionals(&mut resp)
+        self.inner.wait_slots(
+            self.n_keys,
+            |mut r| decode_optionals(&mut r),
+            Option::is_none,
+        )
     }
 
     /// Whether the response arrived.
@@ -1247,16 +1165,7 @@ pub struct PendingExistsMulti {
 impl PendingExistsMulti {
     /// Wait for the flags, one per requested key.
     pub fn wait(self) -> Result<Vec<bool>, YokanError> {
-        let n_keys = self.n_keys;
-        let resp = self.inner.wait_raw()?;
-        if resp.len() != n_keys {
-            return Err(YokanError::Protocol(format!(
-                "exists_multi: expected {} flags, got {}",
-                n_keys,
-                resp.len()
-            )));
-        }
-        Ok(resp.iter().map(|&b| b == 1).collect())
+        self.inner.wait_slots(self.n_keys, decode_flags, |f| !f)
     }
 
     /// Whether the response arrived.
@@ -1268,13 +1177,14 @@ impl PendingExistsMulti {
 /// In-flight asynchronous `list_keys` (see [`YokanClient::list_keys_async`]).
 pub struct PendingListKeys {
     inner: PendingRead,
+    limit: usize,
 }
 
 impl PendingListKeys {
     /// Wait for the key page.
     pub fn wait(self) -> Result<Vec<Vec<u8>>, YokanError> {
-        let mut resp = self.inner.wait_raw()?;
-        decode_keys(&mut resp)
+        self.inner
+            .wait_page(self.limit, |mut r| decode_keys(&mut r), |k| k)
     }
 
     /// Whether the response arrived.
@@ -1285,18 +1195,11 @@ impl PendingListKeys {
 
 /// In-flight asynchronous `put_multi`.
 pub struct PendingPut {
+    client: YokanClient,
+    route: Route,
+    payload: Bytes,
     pending: PendingResponse,
     bulk: Option<mercurio::BulkHandle>,
-    endpoint: Arc<dyn Endpoint>,
-    addr: String,
-    provider_id: u16,
-    payload: Bytes,
-    retry: Option<RetryPolicy>,
-    session: Arc<ClientSession>,
-    /// The replica chain (and the head index the batch was issued to),
-    /// when the target database is routed: `wait` fails the identical
-    /// payload over to the next chain members on dead-node errors.
-    chain: Option<(Arc<ChainState>, usize)>,
 }
 
 impl PendingPut {
@@ -1308,55 +1211,13 @@ impl PendingPut {
     /// exposed on this client, so any replica can still pull it), and the
     /// member that accepts is promoted.
     pub fn wait(self) -> Result<(), YokanError> {
-        let mut result = wait_with_retry(
-            &self.endpoint,
-            self.retry.as_ref(),
-            &self.session.counters,
-            &self.addr,
-            RpcId(OP_PUT_MULTI),
-            self.provider_id,
-            &self.payload,
-            self.pending,
-        );
-        if let Some((chain, start)) = &self.chain {
-            let n = chain.replicas.len();
-            for k in 1..n {
-                let dead = matches!(&result, Err(e) if replica::is_dead_node(e));
-                if !dead {
-                    break;
-                }
-                let idx = (start + k) % n;
-                let t = &chain.replicas[idx];
-                let pending = self.endpoint.call_async(
-                    &t.addr,
-                    RpcId(OP_PUT_MULTI),
-                    t.provider_id,
-                    self.payload.clone(),
-                );
-                result = wait_with_retry(
-                    &self.endpoint,
-                    self.retry.as_ref(),
-                    &self.session.counters,
-                    &t.addr,
-                    RpcId(OP_PUT_MULTI),
-                    t.provider_id,
-                    &self.payload,
-                    pending,
-                );
-                if result.is_ok() {
-                    chain.promote(idx);
-                    self.session
-                        .counters
-                        .failovers
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        let result = self
+            .client
+            .walk(&self.route, OP_PUT_MULTI, &self.payload, self.pending);
         if let Some(h) = &self.bulk {
-            self.endpoint.release_bulk(h);
+            self.client.endpoint.release_bulk(h);
         }
-        let resp = result.map_err(YokanError::from)?;
-        strip_replay_marker(resp, &self.session.counters)?;
+        strip_replay_marker(result?, &self.client.session.counters)?;
         Ok(())
     }
 

@@ -319,3 +319,133 @@ fn put_if_absent_is_atomic_under_contention() {
     }
     ts.server.finalize();
 }
+
+/// Dual-read fallback on every read op: a key held only by the old-owner
+/// candidate of a migrating database must be found — and counted in
+/// `dual_reads` — by the sync and async reads alike, and by the push-down
+/// filter (a plain value there is `NotColumnar`, not `Missing`). Listings
+/// merge both sides with the new owner winning, truncated to the limit.
+/// `exists_multi_direct` audits one member and must ignore the candidate.
+#[test]
+fn every_read_op_falls_back_to_dual_read_candidates() {
+    use yokan::{FilterReply, Program};
+    type Read = Box<dyn Fn(&YokanClient, &DbTarget) -> bool>;
+
+    let ts = setup(NetworkModel::default());
+    let client = YokanClient::new(ts.fabric.endpoint("client"));
+    // Different provider *and* database name: candidate reads must be
+    // re-addressed, not replayed verbatim.
+    let new_owner = DbTarget::new(ts.server.address(), 0, "products");
+    let old_owner = DbTarget::new(ts.server.address(), 1, "events");
+    client.put(&new_owner, b"k-both", b"new").unwrap();
+    client.put(&new_owner, b"k-new", b"n").unwrap();
+    client.put(&old_owner, b"k-both", b"old").unwrap();
+    client.put(&old_owner, b"k-old", b"o").unwrap();
+    client.install_dual_read("products", vec![old_owner.clone()]);
+
+    let keys = || -> Vec<Vec<u8>> {
+        [&b"k-new"[..], b"k-old", b"k-none"]
+            .iter()
+            .map(|k| k.to_vec())
+            .collect()
+    };
+    let listed = || -> Vec<Vec<u8>> {
+        [&b"k-both"[..], b"k-new", b"k-old"]
+            .iter()
+            .map(|k| k.to_vec())
+            .collect()
+    };
+    fn some(v: &[u8]) -> Option<Vec<u8>> {
+        Some(v.to_vec())
+    }
+    let cases: Vec<(&str, Read)> = vec![
+        (
+            "get",
+            Box::new(|c, t| c.get(t, b"k-old").unwrap() == some(b"o")),
+        ),
+        (
+            "get_multi",
+            Box::new(move |c, t| {
+                c.get_multi(t, &keys()).unwrap() == vec![some(b"n"), some(b"o"), None]
+            }),
+        ),
+        (
+            "get_multi_async",
+            Box::new(move |c, t| {
+                let got = c.get_multi_async(t, &keys()).wait().unwrap();
+                let got: Vec<Option<Vec<u8>>> =
+                    got.into_iter().map(|v| v.map(|b| b.to_vec())).collect();
+                got == vec![some(b"n"), some(b"o"), None]
+            }),
+        ),
+        ("exists", Box::new(|c, t| c.exists(t, b"k-old").unwrap())),
+        (
+            "exists_multi",
+            Box::new(move |c, t| c.exists_multi(t, &keys()).unwrap() == vec![true, true, false]),
+        ),
+        (
+            "exists_multi_async",
+            Box::new(move |c, t| {
+                c.exists_multi_async(t, &keys()).wait().unwrap() == vec![true, true, false]
+            }),
+        ),
+        (
+            "list_keys",
+            Box::new(move |c, t| {
+                c.list_keys(t, b"", b"k-", 0).unwrap() == listed()
+                    && c.list_keys(t, b"k-new", b"k-", 1).unwrap() == vec![b"k-old".to_vec()]
+            }),
+        ),
+        (
+            "list_keys_async",
+            Box::new(move |c, t| c.list_keys_async(t, b"", b"k-", 0).wait().unwrap() == listed()),
+        ),
+        (
+            "list_keyvals",
+            Box::new(|c, t| {
+                c.list_keyvals(t, b"", b"k-", 0).unwrap()
+                    == vec![
+                        (b"k-both".to_vec(), b"new".to_vec()),
+                        (b"k-new".to_vec(), b"n".to_vec()),
+                        (b"k-old".to_vec(), b"o".to_vec()),
+                    ]
+                    && c.list_keyvals(t, b"", b"k-", 2).unwrap().len() == 2
+            }),
+        ),
+        (
+            "filter",
+            Box::new(move |c, t| {
+                let program = Program {
+                    id_column: 0,
+                    predicates: Vec::new(),
+                };
+                c.filter(t, &program, &keys()).unwrap()
+                    == vec![
+                        FilterReply::NotColumnar,
+                        FilterReply::NotColumnar,
+                        FilterReply::Missing,
+                    ]
+            }),
+        ),
+    ];
+    for (name, read) in &cases {
+        let before = client.retry_stats().dual_reads;
+        assert!(
+            read(&client, &new_owner),
+            "{name}: a key held only by the dual-read candidate was missed"
+        );
+        assert!(
+            client.retry_stats().dual_reads > before,
+            "{name}: the candidate read was not counted in dual_reads"
+        );
+    }
+
+    let before = client.retry_stats().dual_reads;
+    assert_eq!(
+        client.exists_multi_direct(&new_owner, &keys()).unwrap(),
+        vec![true, false, false],
+        "exists_multi_direct must report only what the probed member holds"
+    );
+    assert_eq!(client.retry_stats().dual_reads, before);
+    ts.server.finalize();
+}

@@ -1,16 +1,17 @@
 //! Storage rescaling (the Pufferscale extension the paper cites as future
 //! potential, §V): grow a running deployment from 3 to 4 event/product
-//! databases, migrate the keys, and keep reading — comparing how much data
-//! modulo vs consistent-hash-ring placement has to move when a single
-//! database is added.
+//! databases, migrate the keys with the live `Migrator`, and keep reading —
+//! comparing how much data modulo vs consistent-hash-ring placement has to
+//! move when a single database is added.
 //!
 //! Run: `cargo run --example rescale`
 
 use bedrock::{ConnectionDescriptor, DbCounts};
 use hepnos::placement::{ModuloPlacement, Placement, RingPlacement};
-use hepnos::rescale::{rescale_events, rescale_products};
+use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput, RescaleStats};
 use hepnos::testing::local_deployment;
 use hepnos::{DataStore, ProductLabel, WriteBatch};
+use std::sync::Arc;
 use yokan::{DbTarget, YokanClient};
 
 fn filter_dbs(full: &[ConnectionDescriptor], max: usize) -> Vec<ConnectionDescriptor> {
@@ -37,7 +38,8 @@ fn filter_dbs(full: &[ConnectionDescriptor], max: usize) -> Vec<ConnectionDescri
         .collect()
 }
 
-fn targets(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<DbTarget> {
+/// One-member chains of every database of a group, in canonical order.
+fn chains(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<Vec<DbTarget>> {
     let mut v: Vec<DbTarget> = descriptors
         .iter()
         .flat_map(|d| {
@@ -51,10 +53,30 @@ fn targets(descriptors: &[ConnectionDescriptor], prefix: &str) -> Vec<DbTarget> 
         })
         .collect();
     v.sort();
-    v
+    v.into_iter().map(|t| vec![t]).collect()
 }
 
-fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, name: &str) {
+/// Migrate one group onto the grown topology: copy pass, then finalize
+/// (epoch bump, convergence, old copies erased). One range in flight keeps
+/// the moved/scanned counts exact.
+fn migrate(
+    client: &YokanClient,
+    old: Vec<Vec<DbTarget>>,
+    new: Vec<Vec<DbTarget>>,
+    placement: Arc<dyn Placement>,
+    input: PlacementInput,
+) -> RescaleStats {
+    let cfg = MigratorConfig {
+        max_inflight_ranges: 1,
+        ..Default::default()
+    };
+    let mig = Migrator::new(client.clone(), old, new, placement, input, cfg).unwrap();
+    mig.run().unwrap();
+    mig.finalize(2).unwrap();
+    mig.progress()
+}
+
+fn demo(make_placement: fn() -> Box<dyn Placement>, name: &str) {
     let dep = local_deployment(
         1,
         DbCounts {
@@ -87,20 +109,21 @@ fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, n
         batch.flush().unwrap();
     }
     let client = YokanClient::new(dep.fabric().endpoint("migrator"));
-    let ev_stats = rescale_events(
+    let placement: Arc<dyn Placement> = Arc::from(make_placement());
+    let ev_stats = migrate(
         &client,
-        &targets(&small, "events"),
-        &targets(&full, "events"),
-        placement,
-    )
-    .unwrap();
-    let pr_stats = rescale_products(
+        chains(&small, "events"),
+        chains(&full, "events"),
+        placement.clone(),
+        PlacementInput::Prefix(32),
+    );
+    let pr_stats = migrate(
         &client,
-        &targets(&small, "products"),
-        &targets(&full, "products"),
+        chains(&small, "products"),
+        chains(&full, "products"),
         placement,
-    )
-    .unwrap();
+        PlacementInput::Product,
+    );
     println!(
         "{name:>7}: events moved {:>4}/{} ({:>4.1}%), products moved {:>4}/{} ({:>4.1}%)",
         ev_stats.keys_moved,
@@ -129,12 +152,8 @@ fn demo(placement: &dyn Placement, make_placement: fn() -> Box<dyn Placement>, n
 
 fn main() {
     println!("growing 3 -> 4 event/product databases, migrating 1024 events + products:\n");
-    demo(&ModuloPlacement, || Box::new(ModuloPlacement), "modulo");
-    demo(
-        &RingPlacement::new(128),
-        || Box::new(RingPlacement::new(128)),
-        "ring",
-    );
+    demo(|| Box::new(ModuloPlacement), "modulo");
+    demo(|| Box::new(RingPlacement::new(128)), "ring");
     println!("\nadding one database: the ring moves ~1/n of the keys, while modulo");
     println!("placement reshuffles most of them — the property Pufferscale needs");
 }

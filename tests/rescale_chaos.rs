@@ -31,13 +31,15 @@ use bedrock::{BackendKind, BedrockServer, ConnectionDescriptor, DbCounts, Servic
 use hepnos::placement::{ModuloPlacement, Placement};
 use hepnos::rescale::{Migrator, MigratorConfig, PlacementInput};
 use hepnos::testing::local_deployment;
-use hepnos::{DataStore, HepnosError, ProductLabel, WriteBatch};
+use hepnos::{
+    DataStore, HepnosError, ParallelEventProcessor, PepOptions, ProductLabel, WriteBatch,
+};
 use mercurio::fault::{FaultConfig, FaultPlan};
 use mercurio::tcp::TcpEndpoint;
 use nova::loader::{slice_label, summary_label, DataLoader};
 use nova::{EventRecord, NovaGenerator};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use yokan::{DbTarget, YokanClient};
 
@@ -462,7 +464,10 @@ fn live_rescale_under_faulted_ingest_survives_node_kill() {
 /// Dual-read pin: a client of the new topology, reading concurrently with
 /// the copy pass, must never miss an acked key — including keys written
 /// *behind* the copier mid-migration — and must observe handed-off
-/// overwrites. After finalize, a fresh client needs no fallback at all.
+/// overwrites. That holds on every event read path, each event seen
+/// exactly once: merged listings must not leak other databases' events or
+/// count an old copy twice. After finalize, a fresh client needs no
+/// fallback at all.
 #[test]
 fn dual_reads_never_miss_acked_keys_during_handoff() {
     let dep = local_deployment(1, counts_full());
@@ -501,8 +506,71 @@ fn dual_reads_never_miss_acked_keys_during_handoff() {
     for t in group_targets(&full, "products") {
         store_full.install_dual_read(&t.db, group_targets(&small, "products"));
     }
+    // Every read path of the new-topology client must see each acked
+    // event exactly once, with its acked bytes: the per-subrun walk, the
+    // dataset- and run-wide listings, and a PEP pass (pipelined and
+    // serial readers) prefetching the product.
+    let payload_type = hepnos::keys::short_type_name::<Vec<u32>>();
     let scan = |expected: &[(u64, usize)], value: &dyn Fn(u64, u64) -> Vec<u32>| {
-        let run = store_full.dataset("pin").unwrap().run(1).unwrap();
+        let acked: usize = expected.iter().map(|&(_, n)| n).sum();
+        let ds = store_full.dataset("pin").unwrap();
+        let run = ds.run(1).unwrap();
+        let events = ds.events().unwrap();
+        assert_eq!(events.len(), acked, "DataSet::events");
+        assert_eq!(run.events().unwrap().len(), acked, "Run::events");
+        // Push-down over every listed event: the payloads are plain blobs,
+        // so each must come back `NotColumnar` — `Missing` is a lost key.
+        let keys: Vec<Vec<u8>> = events.iter().map(|e| e.key().to_vec()).collect();
+        let program = yokan::Program {
+            id_column: 0,
+            predicates: Vec::new(),
+        };
+        let replies = store_full
+            .filter_products(&keys, &label, &payload_type, &program)
+            .unwrap();
+        assert!(
+            replies
+                .iter()
+                .all(|r| *r == yokan::FilterReply::NotColumnar),
+            "push-down filter missed an acked product"
+        );
+        for pipeline in [true, false] {
+            let delivered = Mutex::new(Vec::new());
+            let pep = ParallelEventProcessor::new(
+                store_full.clone(),
+                PepOptions {
+                    load_batch_size: 16,
+                    num_workers: 2,
+                    prefetch: vec![(label.clone(), payload_type.clone())],
+                    pipeline,
+                    ..Default::default()
+                },
+            );
+            pep.process(&ds, |_, pe| {
+                let got: Option<Vec<u32>> = pe.load(&label).unwrap();
+                delivered
+                    .lock()
+                    .unwrap()
+                    .push((pe.event().coordinates(), got));
+            })
+            .unwrap();
+            let mut delivered = delivered.into_inner().unwrap();
+            delivered.sort();
+            assert_eq!(
+                delivered.len(),
+                acked,
+                "PEP (pipeline: {pipeline}) callbacks != acked events"
+            );
+            delivered.dedup_by_key(|(c, _)| *c);
+            assert_eq!(delivered.len(), acked, "PEP delivered an event twice");
+            for ((_, s, e), got) in delivered {
+                assert_eq!(
+                    got,
+                    Some(value(s, e)),
+                    "PEP (pipeline: {pipeline}) prefetch of event {s}/{e}"
+                );
+            }
+        }
         let mut seen: Vec<(u64, usize)> = Vec::new();
         for sr in run.subruns().unwrap() {
             let events = sr.events().unwrap();
