@@ -7,6 +7,11 @@
 //! shared client endpoint and waits for all responses. On a 1-CPU host the
 //! expected signal is reduced lock-handoff/syscall count per op rather than
 //! parallel speedup (as with the cache microbench).
+//!
+//! `sync_round_trip` is the shape of an event lookup: one thread issuing
+//! sequential 128 B synchronous calls, so every frame finds its connection
+//! idle and is written inline by the calling thread (client request and
+//! server response alike); one iteration is one round trip.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mercurio::tcp::{TcpEndpoint, TcpSendConfig};
@@ -71,5 +76,28 @@ fn bench_wire(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_wire);
+fn bench_sync_round_trip(c: &mut Criterion) {
+    // Handlers run on a Margo pool, as in a deployment, never on the
+    // server's reader thread.
+    let server = margo::MargoInstance::new(
+        echo_server() as Arc<dyn Endpoint>,
+        argos::Runtime::simple(1),
+        "default",
+    )
+    .expect("margo instance");
+    let addr = server.address();
+    let client = TcpEndpoint::bind(0).expect("bind client");
+    let payload = bytes::Bytes::from(vec![7u8; PAYLOAD]);
+    c.bench_function("sync_round_trip", |b| {
+        b.iter(|| {
+            client
+                .call(&addr, RpcId(1), 0, payload.clone())
+                .expect("echo rpc failed")
+        })
+    });
+    client.shutdown();
+    server.finalize();
+}
+
+criterion_group!(benches, bench_wire, bench_sync_round_trip);
 criterion_main!(benches);

@@ -6,12 +6,24 @@
 //! are established lazily, carry a one-frame handshake announcing the
 //! dialer's canonical address, and are then used bidirectionally.
 //!
-//! Sending is pipelined: every connection owns a writer thread draining a
-//! bounded outbound queue. All frames queued at drain time are coalesced
-//! into one buffered write (one syscall for N frames), which is what lets
-//! many concurrent ingest writers share a connection without serializing on
-//! per-frame `write`/`flush` pairs. A full queue blocks the sender — that
-//! transport backpressure is counted in [`EndpointStats::send_stalls`].
+//! Sending is inline when the connection is idle: a sender that finds the
+//! outbound queue empty and no write in flight claims the socket and writes
+//! its own frame, so a synchronous round trip costs no handoff to another
+//! thread on either side. Under contention the frame is queued instead, and
+//! the connection's writer thread drains the backlog: all frames queued at
+//! drain time are coalesced into one buffered write (one syscall for N
+//! frames), which is what lets many concurrent ingest writers share a
+//! connection without serializing on per-frame `write`/`flush` pairs. A
+//! sender writes inline only when nothing is queued or being written, so
+//! per-connection frame order is the order of `send` calls. A full queue
+//! blocks the sender — that transport backpressure is counted in
+//! [`EndpointStats::send_stalls`].
+//!
+//! Reader threads never write inline: their frames (admission `Busy`
+//! answers, responses of handlers the default executor runs on the reader)
+//! always go through the queue. A reader blocked on a peer's full socket
+//! would stop draining its own, and two endpoints exchanging large frames
+//! could then deadlock reader against reader.
 //!
 //! Bulk transfers are implemented with an internal RPC
 //! (`RPC_BULK_PULL`, a reserved id) that streams the requested range back —
@@ -28,6 +40,7 @@ use crate::wire::{Frame, RpcId, RPC_BULK_PULL};
 use argos::Eventual;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -68,38 +81,58 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Bytes> {
     Ok(Bytes::from(buf))
 }
 
+thread_local! {
+    /// Set on `mercurio-tcp-rx` threads, which must never write inline.
+    static ON_READER: Cell<bool> = const { Cell::new(false) };
+}
+
 struct SendState {
     queue: VecDeque<Bytes>,
     closed: bool,
+    /// Some thread (an inline sender or the writer thread) owns the socket.
+    writing: bool,
+}
+
+/// The write half of a connection plus its reusable encoding buffer. Only
+/// the thread that set [`SendState::writing`] locks it.
+struct Wire {
+    stream: TcpStream,
+    buf: BytesMut,
 }
 
 /// One established connection: a bounded outbound frame queue drained by a
-/// dedicated writer thread.
+/// dedicated writer thread, bypassed by senders that find it idle.
 struct Conn {
     state: Mutex<SendState>,
     not_empty: Condvar,
     not_full: Condvar,
+    wire: Mutex<Wire>,
     cfg: TcpSendConfig,
     counters: Arc<Counters>,
     /// Clone of the underlying socket used only to tear the connection
-    /// down (unblocks both the reader and writer threads).
+    /// down (unblocks the reader and any thread blocked writing).
     socket: TcpStream,
 }
 
 impl Conn {
     fn spawn(stream: TcpStream, cfg: TcpSendConfig, counters: Arc<Counters>) -> Arc<Conn> {
         let socket = stream.try_clone().unwrap_or_else(|_| {
-            // If the clone fails the socket is already dying; the writer
-            // thread will discover that on first write.
+            // If the clone fails the socket is already dying; the first
+            // write will discover that.
             stream.try_clone().expect("tcp socket clone failed twice")
         });
         let conn = Arc::new(Conn {
             state: Mutex::new(SendState {
                 queue: VecDeque::new(),
                 closed: false,
+                writing: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            wire: Mutex::new(Wire {
+                stream,
+                buf: BytesMut::new(),
+            }),
             cfg,
             counters,
             socket,
@@ -107,15 +140,33 @@ impl Conn {
         let c2 = Arc::clone(&conn);
         std::thread::Builder::new()
             .name("mercurio-tcp-tx".into())
-            .spawn(move || writer_loop(c2, stream))
+            .spawn(move || writer_loop(c2))
             .expect("failed to spawn writer thread");
         conn
     }
 
-    /// Enqueue one frame for transmission; blocks when the outbound queue
-    /// is full (backpressure) and fails once the connection is closed.
+    /// Send one frame: written by the calling thread when the connection is
+    /// idle, otherwise enqueued for the writer thread. Enqueueing blocks
+    /// when the outbound queue is full (backpressure); sending fails once
+    /// the connection is closed. A failed inline write closes the
+    /// connection hard, which fails this peer's pending calls.
     fn send(&self, frame: &Bytes) -> Result<(), RpcError> {
         let mut st = self.state.lock();
+        if !st.closed && !st.writing && st.queue.is_empty() && !ON_READER.get() {
+            st.writing = true;
+            drop(st);
+            let ok = self.write(std::slice::from_ref(frame));
+            let mut st = self.state.lock();
+            st.writing = false;
+            let backlog = !st.queue.is_empty();
+            drop(st);
+            if !ok {
+                self.close_hard();
+            } else if backlog {
+                self.not_empty.notify_one();
+            }
+            return Ok(());
+        }
         if st.queue.len() >= self.cfg.max_queued_frames && !st.closed {
             self.counters.send_stalls.fetch_add(1, Ordering::Relaxed);
             while st.queue.len() >= self.cfg.max_queued_frames && !st.closed {
@@ -129,6 +180,26 @@ impl Conn {
         drop(st);
         self.not_empty.notify_one();
         Ok(())
+    }
+
+    /// Length-prefix `frames` into one buffer and write it with a single
+    /// write+flush. The caller must own [`SendState::writing`]. Returns
+    /// `false` when the socket is gone.
+    fn write(&self, frames: &[Bytes]) -> bool {
+        let mut wire = self.wire.lock();
+        let Wire { stream, buf } = &mut *wire;
+        let total: usize = frames.iter().map(|f| 4 + f.len()).sum();
+        buf.clear();
+        buf.reserve(total);
+        for f in frames {
+            buf.put_u32_le(f.len() as u32);
+            buf.put_slice(f);
+        }
+        self.counters
+            .frames_sent
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
+        self.counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+        stream.write_all(buf).and_then(|_| stream.flush()).is_ok()
     }
 
     /// Stop the writer thread; queued-but-unwritten frames are dropped
@@ -146,42 +217,30 @@ impl Conn {
     }
 }
 
-/// Drain the connection's outbound queue, coalescing every frame available
-/// at drain time (bounded by `max_coalesce_frames`) into one vectored
-/// buffered write: one syscall carries N frames.
-fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream) {
-    let mut wire = BytesMut::new();
+/// Drain the connection's outbound backlog whenever no inline sender holds
+/// the socket, coalescing every frame available at drain time (bounded by
+/// `max_coalesce_frames`) into one buffered write: one syscall carries N
+/// frames.
+fn writer_loop(conn: Arc<Conn>) {
     let mut batch: Vec<Bytes> = Vec::new();
     loop {
         {
             let mut st = conn.state.lock();
-            while st.queue.is_empty() {
-                if st.closed {
+            while st.queue.is_empty() || st.writing {
+                if st.closed && st.queue.is_empty() {
                     return;
                 }
                 conn.not_empty.wait(&mut st);
             }
+            st.writing = true;
             let n = st.queue.len().min(conn.cfg.max_coalesce_frames);
             batch.extend(st.queue.drain(..n));
         }
         conn.not_full.notify_all();
-        let total: usize = batch.iter().map(|f| 4 + f.len()).sum();
-        wire.clear();
-        wire.reserve(total);
-        for f in &batch {
-            wire.put_u32_le(f.len() as u32);
-            wire.put_slice(f);
-        }
-        conn.counters
-            .frames_sent
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        conn.counters.wire_writes.fetch_add(1, Ordering::Relaxed);
+        let ok = conn.write(&batch);
         batch.clear();
-        if stream
-            .write_all(&wire)
-            .and_then(|_| stream.flush())
-            .is_err()
-        {
+        conn.state.lock().writing = false;
+        if !ok {
             // The socket is gone: closing it hard makes the reader loop
             // exit, which fails this peer's pending requests.
             conn.close_hard();
@@ -370,8 +429,8 @@ impl TcpEndpoint {
             Arc::clone(&self.inner.counters),
         );
         // Handshake: announce our canonical address so the peer can route
-        // responses and future requests back. Queued like any other frame;
-        // FIFO order guarantees it goes out first.
+        // responses and future requests back. Sent like any other frame;
+        // it is the connection's first send, so it goes out first.
         let mut hello = BytesMut::new();
         hello.put_slice(self.inner.addr.as_bytes());
         conn.send(&hello.freeze())?;
@@ -427,6 +486,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
 }
 
 fn reader_loop(mut stream: TcpStream, inner: Arc<TcpInner>, peer: String, conn: Arc<Conn>) {
+    ON_READER.set(true);
     while let Ok(raw) = read_frame(&mut stream) {
         inner
             .counters
@@ -943,24 +1003,190 @@ mod tests {
         };
         let s = TcpEndpoint::bind(0).unwrap();
         let c = TcpEndpoint::bind_with(0, cfg).unwrap();
-        s.register(RpcId(1), echo());
+        // The server's reader parks in the first handler until the client
+        // has stalled, so the socket fills and an inline write blocks.
+        let release = Arc::new(AtomicBool::new(false));
+        let release2 = Arc::clone(&release);
+        s.register(
+            RpcId(1),
+            Arc::new(move |req: Request| {
+                while !release2.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(req.payload)
+            }),
+        );
         let addr = s.address();
-        // A tiny queue with a burst of medium frames forces senders to wait
-        // on the writer thread at least occasionally.
+        // Dial first, on one connection, without reaching the handler.
+        let err = c.call(&addr, RpcId(2), 0, Bytes::new()).unwrap_err();
+        assert_eq!(err, RpcError::NoSuchRpc(2));
+        // A lone sender writes every frame inline and never queues: the
+        // queue only fills when concurrent senders pile up behind an
+        // in-flight write. 16 MiB of medium frames outgrow any socket
+        // buffer of a peer that has stopped reading.
         let payload = Bytes::from(vec![7u8; 64 << 10]);
-        let pending: Vec<_> = (0..64)
-            .map(|_| c.call_async(&addr, RpcId(1), 0, payload.clone()))
-            .collect();
-        for p in pending {
-            p.wait().unwrap();
-        }
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let pending: Vec<_> = (0..64)
+                        .map(|_| c.call_async(&addr, RpcId(1), 0, payload.clone()))
+                        .collect();
+                    for p in pending {
+                        p.wait().unwrap();
+                    }
+                });
+            }
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while c.stats().send_stalls == 0 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            release.store(true, Ordering::Release);
+        });
         let st = c.stats();
-        assert_eq!(st.requests_sent, 64);
-        // Not guaranteed on every scheduling, but with queue depth 2 and 64
-        // large frames the writer cannot stay ahead of the caller.
+        assert_eq!(st.requests_sent, 257);
         assert!(st.send_stalls > 0, "expected at least one send stall");
         s.shutdown();
         c.shutdown();
+    }
+
+    /// Four threads each send a numbered burst on one connection, so frames
+    /// take both the inline and the queued path. The server's default
+    /// executor runs handlers on its reader, in wire order.
+    fn frame_order_holds_across_send_paths(max_coalesce_frames: usize) {
+        const THREADS: u8 = 4;
+        const BURST: u32 = 200;
+        let s = TcpEndpoint::bind(0).unwrap();
+        let c = TcpEndpoint::bind_with(
+            0,
+            TcpSendConfig {
+                max_coalesce_frames,
+                ..TcpSendConfig::default()
+            },
+        )
+        .unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        s.register(
+            RpcId(1),
+            Arc::new(move |req: Request| {
+                let mut p = req.payload.clone();
+                let thread = p.get_u8();
+                seen2.lock().push((thread, p.get_u32_le()));
+                Ok(req.payload)
+            }),
+        );
+        let addr = s.address();
+        // Dial before the burst: concurrent first calls to a fresh peer may
+        // each dial, and order is only defined within one connection.
+        let mut warm = BytesMut::new();
+        warm.put_u8(THREADS);
+        warm.put_u32_le(0);
+        c.call(&addr, RpcId(1), 0, warm.freeze()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (c, addr) = (&c, &addr);
+                scope.spawn(move || {
+                    let pending: Vec<_> = (0..BURST)
+                        .map(|i| {
+                            let mut p = BytesMut::new();
+                            p.put_u8(t);
+                            p.put_u32_le(i);
+                            c.call_async(addr, RpcId(1), 0, p.freeze())
+                        })
+                        .collect();
+                    for (i, p) in pending.into_iter().enumerate() {
+                        let mut out = p.wait_timeout(Duration::from_secs(10)).unwrap();
+                        assert_eq!((out.get_u8(), out.get_u32_le()), (t, i as u32));
+                    }
+                });
+            }
+        });
+        let seen = seen.lock();
+        assert_eq!(seen.len(), THREADS as usize * BURST as usize + 1);
+        for t in 0..THREADS {
+            let seq: Vec<u32> = seen
+                .iter()
+                .filter(|(th, _)| *th == t)
+                .map(|e| e.1)
+                .collect();
+            assert_eq!(
+                seq,
+                (0..BURST).collect::<Vec<_>>(),
+                "thread {t} out of order"
+            );
+        }
+        assert_eq!(c.pending_calls(), 0);
+        s.shutdown();
+        c.shutdown();
+    }
+
+    #[test]
+    fn frame_order_holds_across_send_paths_coalesced() {
+        frame_order_holds_across_send_paths(64);
+    }
+
+    #[test]
+    fn frame_order_holds_across_send_paths_per_frame() {
+        frame_order_holds_across_send_paths(1);
+    }
+
+    /// Two endpoints flood each other from 4 threads each while answering
+    /// every call with 1 MiB on their reader threads (default executor). A
+    /// reader that wrote inline could block on the peer's full socket while
+    /// the peer's reader blocks on its own. The senders are detached, so a
+    /// deadlock fails the test at the deadline instead of hanging it.
+    fn crossing_floods_complete(handler: Arc<dyn RpcHandler>, request: Bytes) {
+        const CALLS: usize = 2 * 4 * 4 * 8;
+        let a = TcpEndpoint::bind(0).unwrap();
+        let b = TcpEndpoint::bind(0).unwrap();
+        a.register(RpcId(1), Arc::clone(&handler));
+        b.register(RpcId(1), handler);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (from, to) in [(&a, b.address()), (&b, a.address())] {
+            for _ in 0..4 {
+                let (from, to) = (Arc::clone(from), to.clone());
+                let (request, done) = (request.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..4 {
+                        let pending: Vec<_> = (0..8)
+                            .map(|_| from.call_async(&to, RpcId(1), 0, request.clone()))
+                            .collect();
+                        for p in pending {
+                            let _ = done.send(p.wait().map(|r| r.len()));
+                        }
+                    }
+                });
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for _ in 0..CALLS {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let len = done_rx
+                .recv_timeout(left)
+                .expect("calls did not complete within 30 s")
+                .unwrap();
+            assert_eq!(len, 1 << 20);
+        }
+        assert_eq!(a.pending_calls(), 0);
+        assert_eq!(b.pending_calls(), 0);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn readers_never_deadlock_on_crossing_echoes() {
+        crossing_floods_complete(echo(), Bytes::from(vec![5u8; 1 << 20]));
+    }
+
+    #[test]
+    fn readers_never_deadlock_on_crossing_replies() {
+        // Small requests, large replies: nearly every byte on the wire is
+        // written by a reader thread.
+        let reply = Bytes::from(vec![5u8; 1 << 20]);
+        crossing_floods_complete(
+            Arc::new(move |_req: Request| Ok(reply.clone())),
+            Bytes::from_static(b"x"),
+        );
     }
 
     #[test]
