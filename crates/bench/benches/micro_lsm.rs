@@ -1,5 +1,6 @@
 //! Microbenchmark: the LSM engine (RocksDB substitute) — write path (WAL +
-//! memtable), read path (memtable / SST + bloom), and sorted scans.
+//! memtable), read path (memtable / SST + bloom, one and two reader
+//! threads), and sorted scans.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use lsmdb::{Db, Options};
@@ -56,6 +57,23 @@ fn bench_reads(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 7919) % 50_000;
             black_box(db.get(&i.to_be_bytes()).unwrap());
+        })
+    });
+    // Two readers on the same tables: one iteration is 2 x 256 gets.
+    g.bench_function("get_hit_sst_2threads", |b| {
+        b.iter(|| {
+            std::thread::scope(|s| {
+                for t in 0..2u64 {
+                    let db = &db;
+                    s.spawn(move || {
+                        let mut k = t * 25_000;
+                        for _ in 0..256 {
+                            k = (k + 7919) % 50_000;
+                            black_box(db.get(&k.to_be_bytes()).unwrap());
+                        }
+                    });
+                }
+            })
         })
     });
     g.bench_function("get_miss_bloom", |b| {

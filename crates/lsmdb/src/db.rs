@@ -25,7 +25,7 @@
 use crate::cache::{CacheStats, ShardedReadCache};
 use crate::levels::{key_span, Levels};
 use crate::memtable::{Memtable, Value};
-use crate::sstable::{SstError, SstReader, SstWriter};
+use crate::sstable::{SstError, SstRangeIter, SstReader, SstWriter};
 use crate::wal::{parse_wal_file_name, wal_file_name, Wal, WalRecord};
 use argos::{Pool, SchedulingDiscipline};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -180,8 +180,24 @@ impl From<SstError> for DbError {
 /// An owned key/value pair as returned by scans.
 pub type KeyValue = (Vec<u8>, Vec<u8>);
 
-/// One iterator source feeding the k-way merge.
-type MergeSource = Box<dyn Iterator<Item = (Vec<u8>, Value)>>;
+/// One sorted source feeding the k-way merge.
+enum MergeSource {
+    /// A memtable's entries in the range, copied out under the state lock.
+    Mem(std::vec::IntoIter<(Vec<u8>, Value)>),
+    /// A streaming cursor over one table.
+    Table(SstRangeIter),
+}
+
+impl Iterator for MergeSource {
+    type Item = (Vec<u8>, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            MergeSource::Mem(it) => it.next(),
+            MergeSource::Table(it) => it.next(),
+        }
+    }
+}
 
 /// A batch of writes applied atomically (single lock acquisition, single WAL
 /// flush). This is what Yokan's `put_multi` maps onto.
@@ -1147,15 +1163,15 @@ impl DbInner {
         let mut sources: Vec<MergeSource> = Vec::new();
         if pick.from == 0 {
             for t in pick.inputs.iter().rev() {
-                sources.push(Box::new(t.iter_all()?));
+                sources.push(MergeSource::Table(t.iter_all()));
             }
         } else {
             for t in &pick.inputs {
-                sources.push(Box::new(t.iter_all()?));
+                sources.push(MergeSource::Table(t.iter_all()));
             }
         }
         for t in &pick.overlaps {
-            sources.push(Box::new(t.iter_all()?));
+            sources.push(MergeSource::Table(t.iter_all()));
         }
         let mut merged = MergeIter::new(sources);
         let mut outputs: Vec<Arc<SstReader>> = Vec::new();
@@ -1203,6 +1219,17 @@ impl DbInner {
                     return Err(injected());
                 }
             }
+        }
+        if let Err(e) = merged.finish() {
+            // An input ended early: the outputs miss the rest of it. Keep
+            // every input installed and drop the outputs.
+            if let Some((w, _)) = writer {
+                w.abandon();
+            }
+            for t in &outputs {
+                std::fs::remove_file(t.path()).ok();
+            }
+            return Err(e.into());
         }
         if let Some((w, final_path)) = writer {
             outputs.push(Arc::new(w.finish_to(&final_path)?));
@@ -1366,12 +1393,12 @@ impl DbInner {
             .map(|(k, v)| (k.to_vec(), v.clone()))
             .collect::<Vec<_>>()
         };
-        sources.push(Box::new(collect_mem(&st.memtable).into_iter()));
+        sources.push(MergeSource::Mem(collect_mem(&st.memtable).into_iter()));
         for entry in st.imm.iter().rev() {
-            sources.push(Box::new(collect_mem(&entry.mem).into_iter()));
+            sources.push(MergeSource::Mem(collect_mem(&entry.mem).into_iter()));
         }
         for sst in st.levels.level(0).iter().rev() {
-            sources.push(Box::new(sst.iter_range(lower, upper)?));
+            sources.push(MergeSource::Table(sst.iter_range(lower, upper)));
         }
         for level in 1..st.levels.num_levels() {
             for sst in st.levels.level(level) {
@@ -1381,7 +1408,7 @@ impl DbInner {
                 if sst.entry_count() > 0 && sst.max_key() < lower {
                     continue;
                 }
-                sources.push(Box::new(sst.iter_range(lower, upper)?));
+                sources.push(MergeSource::Table(sst.iter_range(lower, upper)));
             }
         }
         drop(st);
@@ -1395,6 +1422,7 @@ impl DbInner {
                 }
             }
         }
+        merged.finish()?;
         Ok(out)
     }
 
@@ -1428,39 +1456,50 @@ impl DbInner {
 /// K-way merge over precedence-ordered sources (earlier sources win on
 /// duplicate keys). Sources must each yield sorted, per-source-unique keys.
 struct MergeIter {
-    sources: Vec<std::iter::Peekable<MergeSource>>,
+    sources: Vec<MergeSource>,
+    /// Each source's next entry, `None` once it is exhausted.
+    heads: Vec<Option<(Vec<u8>, Value)>>,
 }
 
 impl MergeIter {
-    fn new(sources: Vec<MergeSource>) -> Self {
-        MergeIter {
-            sources: sources.into_iter().map(|s| s.peekable()).collect(),
-        }
+    fn new(mut sources: Vec<MergeSource>) -> Self {
+        let heads = sources.iter_mut().map(|s| s.next()).collect();
+        MergeIter { sources, heads }
     }
 
     fn next_entry(&mut self) -> Option<(Vec<u8>, Value)> {
-        // Find the smallest key among the heads.
-        let mut min_key: Option<Vec<u8>> = None;
-        for src in self.sources.iter_mut() {
-            if let Some((k, _)) = src.peek() {
-                if min_key.as_ref().is_none_or(|m| k < m) {
-                    min_key = Some(k.clone());
+        // The smallest head key; the earliest source holding it wins.
+        let mut win: Option<(usize, &[u8])> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some((k, _)) = head {
+                if win.is_none_or(|(_, m)| k.as_slice() < m) {
+                    win = Some((i, k));
                 }
             }
         }
-        let key = min_key?;
-        // Take from the highest-precedence source holding that key; advance
-        // every other source past it.
-        let mut winner: Option<Value> = None;
-        for src in self.sources.iter_mut() {
-            if src.peek().is_some_and(|(k, _)| k == &key) {
-                let (_, v) = src.next().expect("peeked entry must exist");
-                if winner.is_none() {
-                    winner = Some(v);
+        let (w, _) = win?;
+        let (key, value) = self.heads[w].take().expect("winning head exists");
+        self.heads[w] = self.sources[w].next();
+        // Advance every later source past the key it shadows.
+        for i in w + 1..self.heads.len() {
+            if self.heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
+                self.heads[i] = self.sources[i].next();
+            }
+        }
+        Some((key, value))
+    }
+
+    /// The first error that cut a table source short, if any. Without this
+    /// check an unreadable table would look like a shorter one.
+    fn finish(self) -> Result<(), SstError> {
+        for source in self.sources {
+            if let MergeSource::Table(mut it) = source {
+                if let Some(e) = it.take_error() {
+                    return Err(e);
                 }
             }
         }
-        Some((key, winner.expect("at least one source held the key")))
+        Ok(())
     }
 }
 
@@ -1772,6 +1811,98 @@ mod tests {
         db.delete(b"b").unwrap();
         let got = db.scan(b"", None, 0).unwrap();
         assert_eq!(got, vec![(b"a".to_vec(), b"new".to_vec())]);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    fn sst_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A decode error mid-table must surface: a short scan would drop
+    /// keys from `list_keys`, and a short compaction merge would install
+    /// outputs missing the rest of the table, then delete it.
+    #[test]
+    fn corrupt_entry_fails_scan_and_compaction_without_losing_data() {
+        let d = tmpdir("corrupt-entry");
+        let opts = Options {
+            memtable_bytes: 1 << 20,
+            ..small_opts()
+        };
+        let value = |i: u32| format!("{}{i:04}", if i < 50 { 'v' } else { 'w' }).into_bytes();
+        {
+            let db = Db::open(&d, opts.clone()).unwrap();
+            // Two overlapping L0 tables, so compaction must merge them.
+            for i in 0..100u32 {
+                db.put(format!("k{i:04}").as_bytes(), format!("v{i:04}").as_bytes())
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            for i in 50..150u32 {
+                db.put(format!("k{i:04}").as_bytes(), &value(i)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let tables = sst_files(&d);
+        assert_eq!(tables.len(), 2, "{tables:?}");
+        // Entries of the older table are 19 bytes (9-byte header, 5-byte
+        // key and value); overwrite entry 15's kind byte, the last entry of
+        // its index interval.
+        let mut data = std::fs::read(&tables[0]).unwrap();
+        data[15 * 19 + 4] = 0x7F;
+        std::fs::write(&tables[0], &data).unwrap();
+        {
+            let db = Db::open(&d, opts.clone()).unwrap();
+            assert!(matches!(db.scan(b"", None, 0), Err(DbError::Sst(_))));
+            assert!(matches!(
+                db.count_range(b"k0010", None),
+                Err(DbError::Sst(_))
+            ));
+            assert!(db.compact_all().is_err());
+            assert_eq!(db.stats().compactions, 0);
+        }
+        // Both inputs are still installed and on disk; nothing else is.
+        assert_eq!(sst_files(&d), tables);
+        let db = Db::open(&d, opts).unwrap();
+        for i in (0..150u32).filter(|&i| i != 15) {
+            let key = format!("k{i:04}");
+            assert_eq!(db.get(key.as_bytes()).unwrap(), Some(value(i)), "{key}");
+        }
+        assert!(matches!(db.get(b"k0015"), Err(DbError::Sst(_))));
+        drop(db);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn scan_cursor_outlives_compaction_of_its_table() {
+        let d = tmpdir("cursor-compact");
+        let opts = Options {
+            memtable_bytes: 1 << 20,
+            ..small_opts()
+        };
+        let db = Db::open(&d, opts).unwrap();
+        for i in 0..200u32 {
+            db.put(format!("k{i:04}").as_bytes(), &[7u8; 16]).unwrap();
+        }
+        db.flush().unwrap();
+        let table = Arc::clone(&db.inner.state.read().levels.level(0)[0]);
+        assert_eq!(table.entry_count(), 200);
+        let cursor = table.iter_range(b"k0020", Some(b"k0180"));
+        db.put(b"k0000", b"newer").unwrap();
+        db.compact_all().unwrap();
+        assert!(!table.path().exists(), "compaction unlinks its inputs");
+        drop(table);
+        let keys: Vec<_> = cursor.map(|(k, _)| k).collect();
+        let want: Vec<_> = (20..180u32)
+            .map(|i| format!("k{i:04}").into_bytes())
+            .collect();
+        assert_eq!(keys, want);
+        drop(db);
         std::fs::remove_dir_all(&d).ok();
     }
 

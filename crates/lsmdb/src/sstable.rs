@@ -16,20 +16,36 @@
 //!
 //! Readers keep the index and bloom filter in memory and perform positioned
 //! reads for data, which is the RocksDB cost structure (index/filter blocks
-//! pinned, data blocks from disk).
+//! pinned, data blocks from disk). One file handle per table is shared by
+//! every reader, and no read moves a file cursor:
+//!
+//! * a point get binary-searches the index for the one interval
+//!   `[index[i].offset, index[i+1].offset)` (or up to the end of the entry
+//!   data) that can hold the key, fills it with a single `pread`, and
+//!   decodes entries out of that buffer, allocating only the returned value;
+//! * a range iterator streams through a buffered `pread` cursor of its own
+//!   over the shared handle, bounded by the end of the entry data, so
+//!   concurrent gets and scans never serialize on the table. An iterator
+//!   holds the handle, so it keeps reading a table a compaction has since
+//!   unlinked.
 
 use crate::bloom::BloomFilter;
 use crate::crc32::crc32;
 use crate::memtable::Value;
-use parking_lot::Mutex;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MAGIC: u64 = 0x4845_504E_4F53_5354; // "HEPNOSST"
 const INDEX_INTERVAL: usize = 16;
 const KIND_PUT: u8 = 1;
 const KIND_TOMBSTONE: u8 = 2;
+/// `key_len u32 | kind u8 | val_len u32`.
+const ENTRY_HEADER: usize = 9;
+/// Read-ahead of one range iterator.
+const ITER_BUFFER: u64 = 64 << 10;
 
 /// Errors from SSTable I/O.
 #[derive(Debug)]
@@ -77,29 +93,88 @@ fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: &Value) {
     }
 }
 
-fn read_entry<R: Read>(r: &mut R) -> Result<Option<(Vec<u8>, Value)>, SstError> {
-    let mut hdr = [0u8; 9];
-    match r.read_exact(&mut hdr[..4]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
+/// A decoded entry header whose lengths fit the bytes it was checked
+/// against.
+struct EntryHeader {
+    key_len: usize,
+    /// `None` for a tombstone.
+    val_len: Option<usize>,
+}
+
+impl EntryHeader {
+    /// Decode `hdr`, rejecting an unknown kind and any entry longer than the
+    /// `left` bytes that remain (header included).
+    fn decode(hdr: &[u8; ENTRY_HEADER], left: u64) -> Result<EntryHeader, SstError> {
+        let key_len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
+        let val_len = match hdr[4] {
+            KIND_PUT => Some(u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize),
+            KIND_TOMBSTONE => None,
+            k => return Err(SstError::Corrupt(format!("bad entry kind {k}"))),
+        };
+        let h = EntryHeader { key_len, val_len };
+        if h.len() as u64 > left {
+            return Err(SstError::Corrupt(format!(
+                "entry of {} bytes overruns the {left} bytes left",
+                h.len()
+            )));
+        }
+        Ok(h)
     }
-    r.read_exact(&mut hdr[4..])?;
-    let key_len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-    let kind = hdr[4];
-    let val_len = u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize;
-    let mut key = vec![0u8; key_len];
-    r.read_exact(&mut key)?;
-    let value = match kind {
-        KIND_PUT => {
-            let mut v = vec![0u8; val_len];
-            r.read_exact(&mut v)?;
+
+    /// Encoded size of the whole entry.
+    fn len(&self) -> usize {
+        ENTRY_HEADER + self.key_len + self.val_len.unwrap_or(0)
+    }
+}
+
+fn truncated() -> SstError {
+    SstError::Corrupt("truncated entry".into())
+}
+
+/// Read the next entry from a stream holding `left` bytes of entry data;
+/// returns it with its encoded size.
+fn read_entry<R: Read>(r: &mut R, left: u64) -> Result<(Vec<u8>, Value, u64), SstError> {
+    let read = |r: &mut R, buf: &mut [u8]| {
+        r.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => truncated(),
+            _ => SstError::Io(e),
+        })
+    };
+    let mut hdr = [0u8; ENTRY_HEADER];
+    read(r, &mut hdr)?;
+    let h = EntryHeader::decode(&hdr, left)?;
+    let mut key = vec![0u8; h.key_len];
+    read(r, &mut key)?;
+    let value = match h.val_len {
+        Some(n) => {
+            let mut v = vec![0u8; n];
+            read(r, &mut v)?;
             Value::Put(v)
         }
-        KIND_TOMBSTONE => Value::Tombstone,
-        k => return Err(SstError::Corrupt(format!("bad entry kind {k}"))),
+        None => Value::Tombstone,
     };
-    Ok(Some((key, value)))
+    Ok((key, value, h.len() as u64))
+}
+
+/// An entry decoded in place from a buffer.
+struct RawEntry<'a> {
+    key: &'a [u8],
+    /// `None` for a tombstone.
+    value: Option<&'a [u8]>,
+    /// Encoded size.
+    len: usize,
+}
+
+/// Decode the entry at the head of `buf`, which must hold all of it.
+fn parse_entry(buf: &[u8]) -> Result<RawEntry<'_>, SstError> {
+    let hdr = buf.first_chunk::<ENTRY_HEADER>().ok_or_else(truncated)?;
+    let h = EntryHeader::decode(hdr, buf.len() as u64)?;
+    let key_end = ENTRY_HEADER + h.key_len;
+    Ok(RawEntry {
+        key: &buf[ENTRY_HEADER..key_end],
+        value: h.val_len.map(|_| &buf[key_end..h.len()]),
+        len: h.len(),
+    })
 }
 
 /// Builds an SSTable; keys must be added in strictly increasing order.
@@ -184,6 +259,13 @@ impl SstWriter {
         SstReader::open(final_path)
     }
 
+    /// Give up on an unfinished table and delete its file.
+    pub fn abandon(self) {
+        let SstWriter { path, file, .. } = self;
+        drop(file);
+        std::fs::remove_file(path).ok();
+    }
+
     fn write_trailer(&mut self) -> Result<(), SstError> {
         // Index section.
         let index_offset = self.offset;
@@ -245,10 +327,11 @@ struct IndexEntry {
 }
 
 /// A reader over one finished SSTable. Index and bloom filter are held in
-/// memory; entry data is read from disk on demand.
+/// memory; entry data is read from disk on demand, by positioned reads on
+/// one shared file handle.
 pub struct SstReader {
     path: PathBuf,
-    file: Mutex<BufReader<File>>,
+    file: Arc<File>,
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     min_key: Vec<u8>,
@@ -261,15 +344,14 @@ pub struct SstReader {
 impl SstReader {
     /// Open and validate a table.
     pub fn open(path: &Path) -> Result<SstReader, SstError> {
-        let mut f = File::open(path)?;
+        let f = File::open(path)?;
         let file_size = f.metadata()?.len();
         if file_size < 16 {
             return Err(SstError::Corrupt("file too small".into()));
         }
         // Trailer: crc u32 | footer_len u32 | magic u64.
-        f.seek(SeekFrom::End(-16))?;
         let mut tail = [0u8; 16];
-        f.read_exact(&mut tail)?;
+        f.read_exact_at(&mut tail, file_size - 16)?;
         let crc_stored = u32::from_le_bytes(tail[..4].try_into().unwrap());
         let footer_len = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as u64;
         let magic = u64::from_le_bytes(tail[8..].try_into().unwrap());
@@ -279,9 +361,8 @@ impl SstReader {
         if footer_len + 16 > file_size {
             return Err(SstError::Corrupt("bad footer length".into()));
         }
-        f.seek(SeekFrom::End(-16 - footer_len as i64))?;
         let mut footer = vec![0u8; footer_len as usize];
-        f.read_exact(&mut footer)?;
+        f.read_exact_at(&mut footer, file_size - 16 - footer_len)?;
         if crc32(&footer) != crc_stored {
             return Err(SstError::Corrupt("footer checksum mismatch".into()));
         }
@@ -317,11 +398,16 @@ impl SstReader {
         let bloom_offset = take_u64(&mut pos)?;
         let bloom_len = take_u64(&mut pos)?;
         let count = take_u64(&mut pos)?;
+        if [index_offset, index_len, bloom_offset, bloom_len]
+            .iter()
+            .any(|&v| v > file_size)
+        {
+            return Err(SstError::Corrupt("section out of bounds".into()));
+        }
         // Load index.
-        f.seek(SeekFrom::Start(index_offset))?;
         let mut index_buf = vec![0u8; index_len as usize];
-        f.read_exact(&mut index_buf)?;
-        let mut index = Vec::new();
+        f.read_exact_at(&mut index_buf, index_offset)?;
+        let mut index: Vec<IndexEntry> = Vec::new();
         let mut ip = 0usize;
         if index_buf.len() < 4 {
             return Err(SstError::Corrupt("short index".into()));
@@ -350,17 +436,23 @@ impl SstReader {
                     .unwrap(),
             );
             ip += 8;
+            // Intervals between index offsets are read whole: they must be
+            // ordered and lie within the entry data.
+            if offset > index_offset || index.last().is_some_and(|e| e.offset > offset) {
+                return Err(SstError::Corrupt(
+                    "index offset out of range or order".into(),
+                ));
+            }
             index.push(IndexEntry { key, offset });
         }
         // Load bloom.
-        f.seek(SeekFrom::Start(bloom_offset))?;
         let mut bloom_buf = vec![0u8; bloom_len as usize];
-        f.read_exact(&mut bloom_buf)?;
+        f.read_exact_at(&mut bloom_buf, bloom_offset)?;
         let bloom = BloomFilter::decode(&bloom_buf)
             .ok_or_else(|| SstError::Corrupt("bad bloom filter".into()))?;
         Ok(SstReader {
             path: path.to_path_buf(),
-            file: Mutex::new(BufReader::new(File::open(path)?)),
+            file: Arc::new(f),
             index,
             bloom,
             min_key,
@@ -406,68 +498,109 @@ impl SstReader {
             && self.bloom.may_contain(key)
     }
 
-    /// Point lookup.
+    /// Point lookup: one positioned read of the index interval that can
+    /// hold `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>, SstError> {
         if !self.may_contain(key) {
             return Ok(None);
         }
-        let start = self.seek_offset(key);
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(start))?;
-        let mut pos = start;
-        while pos < self.data_end {
-            match read_entry(&mut *f)? {
-                None => break,
-                Some((k, v)) => {
-                    pos = f.stream_position()?;
-                    match k.as_slice().cmp(key) {
-                        std::cmp::Ordering::Less => continue,
-                        std::cmp::Ordering::Equal => return Ok(Some(v)),
-                        std::cmp::Ordering::Greater => return Ok(None),
-                    }
+        let (start, end) = self.interval(key);
+        let mut buf = vec![0u8; (end - start) as usize];
+        self.file.read_exact_at(&mut buf, start)?;
+        let mut rest = buf.as_slice();
+        while !rest.is_empty() {
+            let entry = parse_entry(rest)?;
+            match entry.key.cmp(key) {
+                std::cmp::Ordering::Less => rest = &rest[entry.len..],
+                std::cmp::Ordering::Equal => {
+                    return Ok(Some(match entry.value {
+                        Some(v) => Value::Put(v.to_vec()),
+                        None => Value::Tombstone,
+                    }))
                 }
+                std::cmp::Ordering::Greater => return Ok(None),
             }
         }
         Ok(None)
     }
 
-    /// Greatest indexed offset whose key is `<= key` (0 if none).
-    fn seek_offset(&self, key: &[u8]) -> u64 {
-        match self.index.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-            Ok(i) => self.index[i].offset,
-            Err(0) => 0,
-            Err(i) => self.index[i - 1].offset,
-        }
+    /// The byte range of entry data that holds `key` if the table does:
+    /// from the greatest indexed offset whose key is `<= key` (0 if none) to
+    /// the next indexed offset (the end of the entry data if none).
+    fn interval(&self, key: &[u8]) -> (u64, u64) {
+        let i = self.index.partition_point(|e| e.key.as_slice() <= key);
+        let start = match i {
+            0 => 0,
+            i => self.index[i - 1].offset,
+        };
+        let end = self.index.get(i).map_or(self.data_end, |e| e.offset);
+        (start, end)
     }
 
     /// Iterate entries with keys in `[lower, upper)`; `upper = None` means
-    /// unbounded. Entries stream from disk in order.
-    pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> Result<SstRangeIter, SstError> {
-        let start = self.seek_offset(lower);
-        let mut reader = BufReader::new(File::open(&self.path)?);
-        reader.seek(SeekFrom::Start(start))?;
-        Ok(SstRangeIter {
-            reader,
+    /// unbounded. Entries stream from disk in order. An I/O or decode error
+    /// ends the iteration early and is kept: see [`SstRangeIter::take_error`].
+    pub fn iter_range(&self, lower: &[u8], upper: Option<&[u8]>) -> SstRangeIter {
+        let (start, _) = self.interval(lower);
+        let cursor = PreadCursor {
+            file: Arc::clone(&self.file),
+            pos: start,
+            end: self.data_end,
+        };
+        let capacity = ITER_BUFFER.min(self.data_end - start).max(1) as usize;
+        SstRangeIter {
+            reader: BufReader::with_capacity(capacity, cursor),
             pos: start,
             data_end: self.data_end,
             lower: lower.to_vec(),
             upper: upper.map(|u| u.to_vec()),
-        })
+            error: None,
+        }
     }
 
     /// Iterate the entire table.
-    pub fn iter_all(&self) -> Result<SstRangeIter, SstError> {
+    pub fn iter_all(&self) -> SstRangeIter {
         self.iter_range(&[], None)
+    }
+}
+
+/// A `Read` over `[pos, end)` of a shared file by positioned reads, so any
+/// number of cursors share one handle without a lock.
+struct PreadCursor {
+    file: Arc<File>,
+    pos: u64,
+    end: u64,
+}
+
+impl Read for PreadCursor {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = (self.end - self.pos).min(buf.len() as u64) as usize;
+        if want == 0 {
+            return Ok(0);
+        }
+        let n = self.file.read_at(&mut buf[..want], self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
     }
 }
 
 /// Streaming iterator over a key range of one table.
 pub struct SstRangeIter {
-    reader: BufReader<File>,
+    reader: BufReader<PreadCursor>,
+    /// Offset of the next entry, kept by adding up entry sizes.
     pos: u64,
     data_end: u64,
     lower: Vec<u8>,
     upper: Option<Vec<u8>>,
+    error: Option<SstError>,
+}
+
+impl SstRangeIter {
+    /// The error that ended this iteration early, if any. A caller that
+    /// needs the whole range must check it once the iterator yields `None`.
+    pub fn take_error(&mut self) -> Option<SstError> {
+        self.error.take()
+    }
 }
 
 impl Iterator for SstRangeIter {
@@ -475,14 +608,22 @@ impl Iterator for SstRangeIter {
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.pos < self.data_end {
-            let entry = read_entry(&mut self.reader).ok()??;
-            self.pos = self.reader.stream_position().ok()?;
-            let (k, v) = entry;
+            let (k, v, len) = match read_entry(&mut self.reader, self.data_end - self.pos) {
+                Ok(entry) => entry,
+                Err(e) => {
+                    // Stop for good: the rest of the table is unreadable.
+                    self.error = Some(e);
+                    self.pos = self.data_end;
+                    return None;
+                }
+            };
+            self.pos += len;
             if k.as_slice() < self.lower.as_slice() {
                 continue;
             }
             if let Some(u) = &self.upper {
                 if k.as_slice() >= u.as_slice() {
+                    self.pos = self.data_end;
                     return None;
                 }
             }
@@ -556,7 +697,6 @@ mod tests {
         let r = build_table(&d.join("t.sst"), 100);
         let got: Vec<_> = r
             .iter_range(b"key000010", Some(b"key000015"))
-            .unwrap()
             .map(|(k, _)| String::from_utf8(k).unwrap())
             .collect();
         assert_eq!(
@@ -576,7 +716,7 @@ mod tests {
     fn full_iteration_is_sorted_and_complete() {
         let d = tmpdir("full");
         let r = build_table(&d.join("t.sst"), 300);
-        let keys: Vec<_> = r.iter_all().unwrap().map(|(k, _)| k).collect();
+        let keys: Vec<_> = r.iter_all().map(|(k, _)| k).collect();
         assert_eq!(keys.len(), 300);
         let mut sorted = keys.clone();
         sorted.sort();
@@ -607,7 +747,7 @@ mod tests {
         let r = w.finish().unwrap();
         assert_eq!(r.entry_count(), 0);
         assert_eq!(r.get(b"anything").unwrap(), None);
-        assert_eq!(r.iter_all().unwrap().count(), 0);
+        assert_eq!(r.iter_all().count(), 0);
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -651,6 +791,164 @@ mod tests {
         std::fs::write(&p, &data).unwrap();
         assert!(matches!(SstReader::open(&p), Err(SstError::Corrupt(_))));
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// What `build_table` stored under key number `i`.
+    fn expected(i: u32) -> Value {
+        if i % 7 == 3 {
+            Value::Tombstone
+        } else {
+            Value::Put(format!("val{i}").into_bytes())
+        }
+    }
+
+    #[test]
+    fn get_at_interval_edges() {
+        let d = tmpdir("edges");
+        let r = build_table(&d.join("t.sst"), 1000);
+        let get = |i: u32| r.get(format!("key{i:06}").as_bytes()).unwrap();
+        // First key, last key, every key at or next to an index entry, and
+        // keys after the last index entry (992).
+        assert_eq!(get(0), Some(expected(0)));
+        assert_eq!(get(999), Some(expected(999)));
+        for i in (0..1000).step_by(INDEX_INTERVAL) {
+            assert_eq!(get(i), Some(expected(i)), "index key {i}");
+            let last = (i + INDEX_INTERVAL as u32 - 1).min(999);
+            assert_eq!(get(last), Some(expected(last)), "interval end {last}");
+        }
+        for i in 992..1000 {
+            assert_eq!(get(i), Some(expected(i)), "tail key {i}");
+        }
+        // Tombstones in the middle of an interval (17 = 16 + 1, 38 = 32 + 6).
+        assert_eq!(get(17), Some(Value::Tombstone));
+        assert_eq!(get(38), Some(Value::Tombstone));
+        // An absent key between two present keys reads its interval and
+        // stops at the first greater key (probe until one passes the bloom).
+        let absent = (0..1000u32)
+            .map(|i| format!("key{i:06}a"))
+            .find(|k| r.may_contain(k.as_bytes()))
+            .expect("some absent key passes a 10-bit bloom");
+        assert_eq!(r.get(absent.as_bytes()).unwrap(), None);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn concurrent_gets_match_serial_lookups() {
+        let d = tmpdir("concurrent");
+        let r = build_table(&d.join("t.sst"), 2000);
+        let serial: Vec<_> = (0..2100u32)
+            .map(|i| r.get(format!("key{i:06}").as_bytes()).unwrap())
+            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (r, serial) = (&r, &serial);
+                scope.spawn(move || {
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ t;
+                    for _ in 0..5000 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let i = (x % 2100) as u32;
+                        let got = r.get(format!("key{i:06}").as_bytes()).unwrap();
+                        assert_eq!(got, serial[i as usize], "key {i}");
+                    }
+                });
+            }
+        });
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn iterator_outlives_unlinked_file_and_reader() {
+        let d = tmpdir("unlinked");
+        let p = d.join("t.sst");
+        let r = build_table(&p, 300);
+        let it = r.iter_range(b"key000100", Some(b"key000250"));
+        drop(r);
+        std::fs::remove_file(&p).unwrap();
+        let keys: Vec<_> = it.map(|(k, _)| k).collect();
+        let want: Vec<_> = (100..250u32)
+            .map(|i| format!("key{i:06}").into_bytes())
+            .collect();
+        assert_eq!(keys, want);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Build a table of fixed-size entries (`k{i:04}` -> `v{i:04}`, 19 bytes
+    /// each), patch `bytes` at `offset`, and reopen it.
+    fn patched_table(name: &str, offset: usize, bytes: &[u8]) -> (PathBuf, SstReader) {
+        let (d, opened) = try_patched_table(name, offset, bytes);
+        (d, opened.unwrap())
+    }
+
+    fn try_patched_table(
+        name: &str,
+        offset: usize,
+        bytes: &[u8],
+    ) -> (PathBuf, Result<SstReader, SstError>) {
+        let d = tmpdir(name);
+        let p = d.join("t.sst");
+        let mut w = SstWriter::create(&p, 10).unwrap();
+        for i in 0..64u32 {
+            w.add(
+                format!("k{i:04}").as_bytes(),
+                &Value::Put(format!("v{i:04}").into_bytes()),
+            )
+            .unwrap();
+        }
+        w.finish().unwrap();
+        let mut data = std::fs::read(&p).unwrap();
+        data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(&p, &data).unwrap();
+        (d, SstReader::open(&p))
+    }
+
+    #[test]
+    fn index_offsets_out_of_range_or_order_are_corrupt() {
+        // The index follows the 64 x 19 bytes of entries: a u32 count, then
+        // per entry a u32 key length, the 5-byte key and a u64 offset. A
+        // point get reads from one offset to the next, so each must lie
+        // within the data and none may go backwards.
+        let second = 64 * 19 + 4 + (4 + 5 + 8) + 4 + 5;
+        let third = second + 8 + 4 + 5;
+        for (name, at, offset) in [("idxpast", second, u64::MAX), ("idxback", third, 1)] {
+            let (d, opened) = try_patched_table(name, at, &offset.to_le_bytes());
+            assert!(matches!(opened, Err(SstError::Corrupt(_))), "{name}");
+            std::fs::remove_dir_all(&d).ok();
+        }
+    }
+
+    #[test]
+    fn bad_entry_kind_is_corrupt_on_get_and_iteration() {
+        // Entry 20's kind byte.
+        let (d, r) = patched_table("badkind", 20 * 19 + 4, &[9]);
+        assert_eq!(
+            r.get(b"k0019").unwrap(),
+            Some(Value::Put(b"v0019".to_vec()))
+        );
+        assert!(matches!(r.get(b"k0020"), Err(SstError::Corrupt(_))));
+        let mut it = r.iter_all();
+        assert_eq!(it.by_ref().count(), 20);
+        assert!(matches!(it.take_error(), Some(SstError::Corrupt(_))));
+        assert_eq!(it.next(), None, "iteration stays ended after an error");
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn oversized_lengths_are_corrupt_not_allocated() {
+        // Entry 3's key_len, then entry 40's val_len, set to 4 GiB - 1.
+        for (name, offset) in [("hugekey", 3 * 19), ("hugeval", 40 * 19 + 5)] {
+            let (d, r) = patched_table(name, offset, &u32::MAX.to_le_bytes());
+            let victim = format!("k{:04}", offset / 19);
+            assert!(matches!(
+                r.get(victim.as_bytes()),
+                Err(SstError::Corrupt(_))
+            ));
+            let mut it = r.iter_all();
+            assert_eq!(it.by_ref().count(), offset / 19);
+            assert!(matches!(it.take_error(), Some(SstError::Corrupt(_))));
+            std::fs::remove_dir_all(&d).ok();
+        }
     }
 
     #[test]

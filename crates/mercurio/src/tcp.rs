@@ -259,6 +259,7 @@ struct Counters {
     frames_sent: AtomicU64,
     wire_writes: AtomicU64,
     send_stalls: AtomicU64,
+    connections_accepted: AtomicU64,
 }
 
 type PendingMap = HashMap<u64, (String, Eventual<Result<Bytes, RpcError>>)>;
@@ -272,6 +273,9 @@ struct TcpInner {
     /// connection fails exactly the calls routed through it.
     pending: Mutex<PendingMap>,
     conns: Mutex<HashMap<String, Arc<Conn>>>,
+    /// Held while dialing, so concurrent first calls to one peer make one
+    /// connection: frames are ordered only within a connection.
+    dial: Mutex<()>,
     send_cfg: TcpSendConfig,
     next_req: AtomicU64,
     next_bulk: AtomicU64,
@@ -332,6 +336,7 @@ impl TcpEndpoint {
             admission: RwLock::new(None),
             pending: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
+            dial: Mutex::new(()),
             send_cfg,
             next_req: AtomicU64::new(1),
             next_bulk: AtomicU64::new(1),
@@ -414,6 +419,13 @@ impl TcpEndpoint {
         if let Some(c) = self.inner.conns.lock().get(target) {
             return Ok(Arc::clone(c));
         }
+        // Dialing is rare: one endpoint-wide lock, then re-check, keeps a
+        // racing caller from dialing a second connection and overwriting
+        // the first in `conns`.
+        let _dialing = self.inner.dial.lock();
+        if let Some(c) = self.inner.conns.lock().get(target) {
+            return Ok(Arc::clone(c));
+        }
         let hostport = target
             .strip_prefix(SCHEME)
             .ok_or_else(|| RpcError::NoSuchEndpoint(target.to_string()))?;
@@ -459,6 +471,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<TcpInner>) {
             return;
         }
         stream.set_nodelay(true).ok();
+        inner
+            .counters
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
         // Read the handshake to learn the peer's canonical address.
         let peer_addr = match read_frame(&mut stream) {
             Ok(f) => String::from_utf8_lossy(&f).into_owned(),
@@ -1076,12 +1092,6 @@ mod tests {
             }),
         );
         let addr = s.address();
-        // Dial before the burst: concurrent first calls to a fresh peer may
-        // each dial, and order is only defined within one connection.
-        let mut warm = BytesMut::new();
-        warm.put_u8(THREADS);
-        warm.put_u32_le(0);
-        c.call(&addr, RpcId(1), 0, warm.freeze()).unwrap();
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let (c, addr) = (&c, &addr);
@@ -1102,7 +1112,7 @@ mod tests {
             }
         });
         let seen = seen.lock();
-        assert_eq!(seen.len(), THREADS as usize * BURST as usize + 1);
+        assert_eq!(seen.len(), THREADS as usize * BURST as usize);
         for t in 0..THREADS {
             let seq: Vec<u32> = seen
                 .iter()
@@ -1128,6 +1138,37 @@ mod tests {
     #[test]
     fn frame_order_holds_across_send_paths_per_frame() {
         frame_order_holds_across_send_paths(1);
+    }
+
+    #[test]
+    fn concurrent_first_calls_dial_one_connection() {
+        const THREADS: usize = 8;
+        let s = TcpEndpoint::bind(0).unwrap();
+        let c = TcpEndpoint::bind(0).unwrap();
+        s.register(RpcId(1), echo());
+        let addr = s.address();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS as u8 {
+                let (c, addr, barrier) = (&c, &addr, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let out = c.call(addr, RpcId(1), 0, Bytes::copy_from_slice(&[t]));
+                    assert_eq!(&out.unwrap()[..], &[t]);
+                });
+            }
+        });
+        let accepted = s
+            .inner
+            .counters
+            .connections_accepted
+            .load(Ordering::Relaxed);
+        assert_eq!(accepted, 1, "one connection per peer");
+        // 8 requests and one handshake.
+        assert_eq!(c.stats().frames_sent, THREADS as u64 + 1);
+        assert_eq!(s.stats().requests_received, THREADS as u64);
+        s.shutdown();
+        c.shutdown();
     }
 
     /// Two endpoints flood each other from 4 threads each while answering
